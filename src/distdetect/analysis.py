@@ -7,6 +7,7 @@ independent seeded trials and require the violation frequency to stay below
 delta plus three standard errors.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,11 +30,22 @@ class TrajectoryRecord:
     exp_gap_sum: np.ndarray       # T x n, sum_{k != true} exp(phi_ik - phi_i,true)
     potential_gap: np.ndarray     # T, max_k |avg_i phi_{i,t}(k) - phi_t(k)|
     seed: tuple
-    config_digest: str = ""
 
     @property
     def horizon(self) -> int:
         return self.tv_error.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class TrialBatch:
+    """Per-step diagnostics of R trials run together; arrays lead with the trial axis."""
+
+    tv_error: np.ndarray          # R x T x n
+    kl_increment: np.ndarray      # R x T x n
+    centralized_tv: np.ndarray    # R x T
+    max_potential_gap: float      # over all trials and steps
+    exp_gap_sum: np.ndarray = None    # R x T x n, only when asked for
+    potential_gap: np.ndarray = None  # R x T, only when asked for
 
 
 @dataclass(frozen=True)
@@ -57,12 +69,6 @@ class MonteCarloReport:
     trial_stats: dict = field(default_factory=dict)
 
 
-def _logsumexp(z, axis=None):
-    zmax = np.max(z, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(z - zmax), axis=axis, keepdims=True)) + zmax
-    return np.squeeze(out, axis=axis) if axis is not None else float(out.item())
-
-
 def trial_rng(base_seed: int, trial: int):
     """Generator for one trial: seeded from SeedSequence(base_seed, spawn_key=(trial,)).
 
@@ -72,59 +78,128 @@ def trial_rng(base_seed: int, trial: int):
     return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(trial,)))
 
 
-def simulate_trial(model, process, eta: float, horizon: int,
-                   base_seed: int, trial: int = 0,
-                   config_digest: str = "") -> TrajectoryRecord:
-    """Run both engines on a common signal stream for `horizon` steps."""
-    rng = trial_rng(base_seed, trial)
+STEP_BLOCK = 64            # steps drawn from each trial's generator at a time
+BLOCK_ELEMENTS = 1 << 15   # bound on trials x STEP_BLOCK x n x m held per block
+
+
+def potential_blocks(model, process, horizon: int, base_seed: int, trials):
+    """Advance the given trials together and yield their potentials block by block.
+
+    Yields (rows, t0, dec, cen) for consecutive blocks of at most STEP_BLOCK
+    steps: `rows` is the slice of `trials` being advanced, dec the
+    (K, len(rows), n, m) decentralized potentials after steps t0+1 .. t0+K,
+    and cen the (K, len(rows), m) centralized ones. Trials run in groups
+    bounded by BLOCK_ELEMENTS, so working memory grows with neither the trial
+    count nor the horizon.
+
+    Trial r draws k + n uniforms per step from `trial_rng(base_seed, r)`: the
+    k of `network.batch_mixer` first, then one per agent, turned into its
+    signal by inverse CDF. Group and block sizes change neither the stream
+    nor the arithmetic of any trial.
+    """
     n, m = model.n, model.m
-    true = model.states.true_index
-    logtabs = signals.log_tables(model)
-    cdfs = model._true_cdfs
+    k, mix = network.batch_mixer(process)
+    cdf, logtab = signals.padded_tables(model)
+    agents = np.arange(n)
+    trials = list(trials)
+    group = max(1, BLOCK_ELEMENTS // (STEP_BLOCK * n * m))
+    for g0 in range(0, len(trials), group):
+        rngs = [trial_rng(base_seed, r) for r in trials[g0:g0 + group]]
+        rows = slice(g0, g0 + len(rngs))
+        phi = np.zeros((len(rngs), n, m))
+        cen = np.zeros((1, len(rngs), m))
+        for t0 in range(0, horizon, STEP_BLOCK):
+            steps = min(STEP_BLOCK, horizon - t0)
+            u = np.stack([g.random((steps, k + n)) for g in rngs], axis=1)
+            symbols = sum(_columns(cdf <= u[..., k:, None]))
+            psi = logtab[agents, symbols]
+            dec = np.empty_like(psi)
+            for s in range(steps):
+                phi = mix(phi, u[s, :, :k])
+                phi += psi[s]
+                dec[s] = phi
+            # accumulate from the carried value so sums run in step order
+            cen = np.cumsum(np.concatenate([cen, psi.mean(axis=2)]), axis=0)[1:]
+            yield rows, t0, dec, cen
+            cen = cen[-1:]
 
-    phi_dec = np.zeros((n, m))
-    phi_cen = np.zeros(m)
 
-    tv = np.empty((horizon, n))
-    kl = np.empty((horizon, n))
-    ctv = np.empty(horizon)
-    egs = np.empty((horizon, n))
-    pgap = np.empty(horizon)
+def _columns(x):
+    """Views x[..., j] of the columns of a short last axis (states or symbols).
 
-    false_cols = [k for k in range(m) if k != true]
-    psi = np.empty((n, m))
-    for step in range(horizon):
-        w = process.draw(rng)
-        u = rng.random(n)
-        for i in range(n):
-            sym = np.searchsorted(cdfs[i], u[i], side="right")
-            psi[i] = logtabs[i][:, sym]
-        phi_dec = w @ phi_dec + psi
-        phi_cen = phi_cen + psi.mean(axis=0)
+    Reducing by combining these elementwise is several times faster than
+    NumPy's row-by-row reduction of a short last axis, and adds in the same
+    order.
+    """
+    return np.moveaxis(x, -1, 0)
 
-        zi = eta * phi_dec
-        li = _logsumexp(zi, axis=1)
-        mu = np.exp(zi - li[:, None])
-        zc = eta * phi_cen
-        lc = _logsumexp(zc)
-        mu_c = np.exp(zc - lc)
 
-        # TV to the truth is the total false-state mass; summing it directly
-        # keeps precision down to float underflow (1 - mu[true] cancels at ~1e-16)
-        tv[step] = mu[:, false_cols].sum(axis=1)
-        ctv[step] = mu_c[false_cols].sum()
-        # KL in potential space: exact even when belief entries underflow
-        kl[step] = (mu * (zi - zc[None, :])).sum(axis=1) - li + lc
-        with np.errstate(over="ignore"):
-            egs[step] = np.exp(
-                phi_dec[:, false_cols] - phi_dec[:, [true]]
-            ).sum(axis=1)
-        pgap[step] = np.abs(phi_dec.mean(axis=0) - phi_cen).max()
+def _beliefs(phi, eta):
+    """Exponents z = eta*phi, their log-normalizers and the beliefs over states."""
+    z = eta * phi
+    zmax = functools.reduce(np.maximum, _columns(z))[..., None]
+    lse = np.log(sum(_columns(np.exp(z - zmax))))[..., None] + zmax
+    return z, lse, np.exp(z - lse)
 
-    np.maximum(kl, 0.0, out=kl)  # clip rounding noise on identical beliefs
+
+def _kl_to_centralized(dec, cen, eta):
+    """Per-agent D_KL(agent belief || centralized belief) and both beliefs.
+
+    Computed in potential space, so it stays exact even when belief entries
+    underflow; rounding noise on identical beliefs is clipped to 0.
+    """
+    zi, li, mu = _beliefs(dec, eta)
+    zc, lc, mu_c = _beliefs(cen, eta)
+    kl = sum(_columns(mu * (zi - zc[..., None, :]))) - li[..., 0] + lc
+    return np.maximum(kl, 0.0), mu, mu_c
+
+
+def _false_mass(mu, true: int):
+    # TV to the truth is the total false-state mass; summing it directly
+    # keeps precision down to float underflow (1 - mu[true] cancels at ~1e-16)
+    return sum(col for k, col in enumerate(_columns(mu)) if k != true)
+
+
+def simulate_trials(model, process, eta: float, horizon: int, base_seed: int,
+                    trials, diagnostics: bool = False) -> TrialBatch:
+    """Run both engines on common signal streams for `horizon` steps per trial.
+
+    The per-step exp-gap sums and potential gaps are kept only with
+    `diagnostics`; the largest potential gap is always reported.
+    """
+    R, n, true = len(trials), model.n, model.states.true_index
+    tv, kl = np.empty((R, horizon, n)), np.empty((R, horizon, n))
+    ctv = np.empty((R, horizon))
+    egs = np.empty((R, horizon, n)) if diagnostics else None
+    pgap = np.empty((R, horizon)) if diagnostics else None
+    max_gap = 0.0
+    for rows, t0, dec, cen in potential_blocks(model, process, horizon, base_seed, trials):
+        steps = slice(t0, t0 + len(dec))
+        inc, mu, mu_c = _kl_to_centralized(dec, cen, eta)
+        kl[rows, steps] = inc.swapaxes(0, 1)
+        tv[rows, steps] = _false_mass(mu, true).swapaxes(0, 1)
+        ctv[rows, steps] = _false_mass(mu_c, true).T
+        gap = functools.reduce(np.maximum, _columns(np.abs(dec.mean(axis=2) - cen)))
+        max_gap = np.maximum(max_gap, gap.max())
+        if diagnostics:
+            pgap[rows, steps] = gap.T
+            with np.errstate(over="ignore"):
+                egs[rows, steps] = _false_mass(
+                    np.exp(dec - dec[..., [true]]), true).swapaxes(0, 1)
+    return TrialBatch(tv_error=tv, kl_increment=kl, centralized_tv=ctv,
+                      max_potential_gap=float(max_gap), exp_gap_sum=egs,
+                      potential_gap=pgap)
+
+
+def simulate_trial(model, process, eta: float, horizon: int,
+                   base_seed: int, trial: int = 0) -> TrajectoryRecord:
+    """One trial with every diagnostic: the R = 1 case of `simulate_trials`."""
+    b = simulate_trials(model, process, eta, horizon, base_seed, [trial],
+                        diagnostics=True)
     return TrajectoryRecord(
-        tv_error=tv, kl_increment=kl, centralized_tv=ctv, exp_gap_sum=egs,
-        potential_gap=pgap, seed=(base_seed, trial), config_digest=config_digest,
+        tv_error=b.tv_error[0], kl_increment=b.kl_increment[0],
+        centralized_tv=b.centralized_tv[0], exp_gap_sum=b.exp_gap_sum[0],
+        potential_gap=b.potential_gap[0], seed=(base_seed, trial),
     )
 
 
@@ -197,17 +272,15 @@ class VerificationScenario:
     eta_mode: object = "auto"  # "auto" | "unit" | "theorem1" | float
 
 
-def _scenario_quantities(sc: VerificationScenario):
-    report = signals.validate_model(sc.model)
-    if not network.check_expected_connectivity(sc.process):
+def scenario_quantities(model, process):
+    """Check a model and process; return (B, hardest false state, its rate I, sigma2)."""
+    report = signals.validate_model(model)
+    if not network.check_expected_connectivity(process):
         raise InvalidScenario("network process is not connected in expectation")
-    if sc.process.n != sc.model.n:
-        raise InvalidScenario(
-            f"process has n={sc.process.n} but model has n={sc.model.n}"
-        )
-    s2 = network.sigma2(network.expected_matrix(sc.process))
-    _, rate = signals.second_state(sc.model)
-    return report.log_bound, rate, s2
+    if process.n != model.n:
+        raise InvalidScenario(f"process has n={process.n} but model has n={model.n}")
+    k2, rate = signals.second_state(model)
+    return report.log_bound, k2, rate, network.sigma2(network.expected_matrix(process))
 
 
 def resolve_eta(mode, B, n, sigma2_w, which=None) -> float:
@@ -220,59 +293,65 @@ def resolve_eta(mode, B, n, sigma2_w, which=None) -> float:
     return float(mode)
 
 
-def theorem1_trial_statistic(sc: VerificationScenario, eta, base_seed, trial) -> float:
-    traj = simulate_trial(sc.model, sc.process, eta, sc.horizon, base_seed, trial)
-    return max(kl_cost(traj, i, sc.horizon) for i in range(sc.model.n))
+def theorem1_statistics(sc: VerificationScenario, eta, base_seed, trials) -> np.ndarray:
+    """Per trial, the largest cumulative KL cost over agents at horizon T."""
+    cost = np.zeros((len(trials), sc.model.n))
+    for rows, _, dec, cen in potential_blocks(
+            sc.model, sc.process, sc.horizon, base_seed, trials):
+        cost[rows] += _kl_to_centralized(dec, cen, eta)[0].sum(axis=0)
+    return cost.max(axis=1)
 
 
-def prop1_trial_statistic(sc: VerificationScenario, eta, base_seed, trial) -> float:
-    traj = simulate_trial(sc.model, sc.process, eta, sc.checkpoint, base_seed, trial)
-    tv = traj.tv_error[sc.checkpoint - 1]
-    with np.errstate(divide="ignore"):
-        return float(np.max(np.log(tv)))  # max over agents; log(0) = -inf is fine
+def prop1_statistics(sc: VerificationScenario, eta, base_seed, trials) -> np.ndarray:
+    """Per trial, the largest log TV error over agents at the checkpoint."""
+    stats = np.full(len(trials), np.nan)  # a checkpoint never reached fails closed
+    for rows, t0, dec, _ in potential_blocks(
+            sc.model, sc.process, sc.checkpoint, base_seed, trials):
+        if t0 + len(dec) == sc.checkpoint:
+            tv = _false_mass(_beliefs(dec[-1], eta)[2], sc.model.states.true_index)
+            with np.errstate(divide="ignore"):
+                stats[rows] = np.log(tv).max(axis=1)  # log(0) = -inf is fine
+    return stats
 
 
 def monte_carlo_verify(sc: VerificationScenario, which: str, R: int,
-                       base_seed: int, statistics=None) -> MonteCarloReport:
+                       base_seed: int) -> MonteCarloReport:
     """Estimate the violation frequency of a bound over R independent trials.
 
-    `statistics` lets a caller supply precomputed per-trial statistics (e.g.
-    from a worker pool); when omitted the trials run here sequentially.
+    Fails closed: a NaN or +inf statistic counts as a violation and fails the
+    verdict outright. Only -inf, the log of a TV error that underflowed to 0,
+    is a legitimate non-finite statistic.
     """
     if which not in ("theorem1", "prop1"):
         raise ValueError(f"unknown verification target {which!r}")
     if R < 1:
         raise ValueError("need at least one trial")
-    B, I, s2 = _scenario_quantities(sc)
+    B, _, I, s2 = scenario_quantities(sc.model, sc.process)
     eta = resolve_eta(sc.eta_mode, B, sc.model.n, s2, which)
     if which == "theorem1":
         bound = theorem1_bound(B, I, sc.model.m, sc.model.n, sc.delta, s2)
-        stat_fn = theorem1_trial_statistic
+        statistics = theorem1_statistics(sc, eta, base_seed, range(R))
     else:
         bound = prop1_log_tv_bound(
             B, I, sc.model.m, sc.model.n, sc.delta, s2, sc.checkpoint
         )
-        stat_fn = prop1_trial_statistic
+        statistics = prop1_statistics(sc, eta, base_seed, range(R))
 
-    if statistics is None:
-        statistics = [stat_fn(sc, eta, base_seed, r) for r in range(R)]
-    statistics = list(statistics)
-    if len(statistics) != R:
-        raise ValueError(f"got {len(statistics)} statistics for {R} trials")
-
-    violations = sum(1 for s in statistics if s > bound.total)
+    broken = np.isnan(statistics) | (statistics == np.inf)
+    violations = int(np.count_nonzero(broken | (statistics > bound.total)))
     rate = violations / R
     slack = 3.0 * math.sqrt(sc.delta * (1.0 - sc.delta) / R)
-    verdict = "pass" if rate <= sc.delta + slack else "fail"
-    finite = [s for s in statistics if math.isfinite(s)]
+    verdict = "pass" if rate <= sc.delta + slack and not broken.any() else "fail"
+    finite = statistics[np.isfinite(statistics)]
     return MonteCarloReport(
         which=which, trials=R, violations=violations, violation_rate=rate,
         delta=sc.delta, slack=slack, verdict=verdict, bound=bound,
         trial_stats={
             "eta": eta,
-            "max_statistic": max(statistics) if statistics else float("nan"),
+            "max_statistic": float(np.max(statistics)),
             "mean_finite_statistic":
-                float(np.mean(finite)) if finite else float("-inf"),
+                float(np.mean(finite)) if finite.size else float("-inf"),
+            "nonfinite_statistics": int(np.count_nonzero(broken)),
         },
     )
 

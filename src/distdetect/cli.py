@@ -1,8 +1,11 @@
 """Experiment runner CLI: simulate, verify, spectral.
 
 Every run is reproducible from (config file, base seed): trial r uses the
-generator seeded by SeedSequence(base_seed, spawn_key=(r,)), so enlarging the
-trial count keeps earlier trials' outcomes as a prefix, and reruns with the
+generator seeded by SeedSequence(base_seed, spawn_key=(r,)) and takes k + n
+uniforms from it per step, the network's k first (0 for a fixed network, 1
+for the matrix pick of a finite-support process, 2 for the gossip agent and
+neighbour) and then one signal uniform per agent. Enlarging the trial count
+therefore keeps earlier trials' outcomes as a prefix, and reruns with the
 same config and seed produce byte-identical output files.
 """
 
@@ -11,12 +14,11 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
 
-from . import analysis, network, signals
+from . import analysis, network
 from .config import load_config
 from .errors import ConfigInvalid, DistDetectError
 
@@ -26,6 +28,9 @@ def _fmt(x: float) -> str:
 
 
 def _resolve(cfg, args):
+    for flag, value, least in (("--seed", args.seed, 0), ("--trials", args.trials, 1)):
+        if value is not None and value < least:
+            raise ConfigInvalid(f"{flag} must be >= {least}, got {value}")
     seed = args.seed if args.seed is not None else cfg.seed
     trials = args.trials if args.trials is not None else cfg.trials
     outdir = args.output_dir if args.output_dir is not None else cfg.output_dir
@@ -33,39 +38,12 @@ def _resolve(cfg, args):
     return seed, trials, outdir
 
 
-def _sim_worker(payload):
-    cfg_model, cfg_process, eta, horizon, seed, trial, digest = payload
-    return analysis.simulate_trial(
-        cfg_model, cfg_process, eta, horizon, seed, trial, config_digest=digest
-    )
-
-
-def _run_trials(cfg, eta, horizon, seed, trials, workers):
-    payloads = [
-        (cfg.model, cfg.process, eta, horizon, seed, r, cfg.digest)
-        for r in range(trials)
-    ]
-    if workers > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sim_worker, payloads, chunksize=1))
-    return [_sim_worker(p) for p in payloads]
-
-
-def _scenario_summary(cfg, which=None):
-    report = signals.validate_model(cfg.model)
-    w_bar = network.expected_matrix(cfg.process)
-    s2 = network.sigma2(w_bar)
-    k2, rate = signals.second_state(cfg.model)
-    eta = analysis.resolve_eta(
-        cfg.learning_rate, report.log_bound, cfg.model.n, s2, which
-    )
-    return report, w_bar, s2, k2, rate, eta
-
-
 def cmd_simulate(cfg, args) -> int:
     seed, trials, outdir = _resolve(cfg, args)
-    report, _, s2, k2, rate, eta = _scenario_summary(cfg)
-    trajectories = _run_trials(cfg, eta, cfg.horizon, seed, trials, args.workers)
+    B, k2, rate, s2 = analysis.scenario_quantities(cfg.model, cfg.process)
+    eta = analysis.resolve_eta(cfg.learning_rate, B, cfg.model.n, s2)
+    batch = analysis.simulate_trials(cfg.model, cfg.process, eta, cfg.horizon,
+                                     seed, range(trials))
 
     csv_path = os.path.join(outdir, "trajectories.csv")
     with open(csv_path, "w", newline="") as f:
@@ -75,26 +53,26 @@ def cmd_simulate(cfg, args) -> int:
             "kl_increment", "centralized_tv_error",
         ])
         with np.errstate(divide="ignore"):
-            for r, traj in enumerate(trajectories):
-                log_tv = np.log(traj.tv_error)
-                for t in range(traj.horizon):
-                    for i in range(cfg.model.n):
-                        wr.writerow([
-                            r, t + 1, i,
-                            _fmt(traj.tv_error[t, i]),
-                            _fmt(log_tv[t, i]),
-                            _fmt(traj.kl_increment[t, i]),
-                            _fmt(traj.centralized_tv[t]),
-                        ])
+            log_tv = np.log(batch.tv_error)
+        for r in range(trials):
+            for t in range(cfg.horizon):
+                for i in range(cfg.model.n):
+                    wr.writerow([
+                        r, t + 1, i,
+                        _fmt(batch.tv_error[r, t, i]),
+                        _fmt(log_tv[r, t, i]),
+                        _fmt(batch.kl_increment[r, t, i]),
+                        _fmt(batch.centralized_tv[r, t]),
+                    ])
 
-    final_tv = np.stack([traj.tv_error[-1] for traj in trajectories])
-    costs = np.stack([traj.kl_increment.sum(axis=0) for traj in trajectories])
+    final_tv = batch.tv_error[:, -1]
+    costs = batch.kl_increment.sum(axis=1)
     summary = {
         "config_digest": cfg.digest,
         "n": cfg.model.n,
         "m": cfg.model.m,
         "true_state": cfg.model.states.true_index,
-        "log_bound_B": report.log_bound,
+        "log_bound_B": B,
         "second_state": k2,
         "pairwise_rate_I": rate,
         "sigma2": s2,
@@ -107,22 +85,13 @@ def cmd_simulate(cfg, args) -> int:
         "final_tv_max": float(final_tv.max()),
         "total_cost_mean_per_agent": costs.mean(axis=0).tolist(),
         "total_cost_max": float(costs.max()),
-        "max_potential_gap": float(
-            max(traj.potential_gap.max() for traj in trajectories)
-        ),
+        "max_potential_gap": batch.max_potential_gap,
     }
     with open(os.path.join(outdir, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"wrote {csv_path} and summary.json (final TV max {summary['final_tv_max']:.3e})")
     return 0
-
-
-def _verify_worker(payload):
-    sc, which, eta, seed, trial = payload
-    fn = (analysis.theorem1_trial_statistic if which == "theorem1"
-          else analysis.prop1_trial_statistic)
-    return fn(sc, eta, seed, trial)
 
 
 def cmd_verify(cfg, args) -> int:
@@ -135,16 +104,7 @@ def cmd_verify(cfg, args) -> int:
         model=cfg.model, process=cfg.process, delta=cfg.delta,
         horizon=cfg.horizon, checkpoint=checkpoint, eta_mode=cfg.learning_rate,
     )
-    B, I, s2 = analysis._scenario_quantities(sc)
-    eta = analysis.resolve_eta(sc.eta_mode, B, cfg.model.n, s2, which)
-    payloads = [(sc, which, eta, seed, r) for r in range(trials)]
-    if args.workers > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            stats = list(pool.map(_verify_worker, payloads, chunksize=1))
-    else:
-        stats = [_verify_worker(p) for p in payloads]
-
-    rep = analysis.monte_carlo_verify(sc, which, trials, seed, statistics=stats)
+    rep = analysis.monte_carlo_verify(sc, which, trials, seed)
     doc = {
         "config_digest": cfg.digest,
         "which": rep.which,
@@ -214,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--trials", type=int, default=None)
         sp.add_argument("--output-dir", default=None)
-        sp.add_argument("--workers", type=int,
-                        default=max(1, min(os.cpu_count() or 1, 8)))
         sp.set_defaults(fn=fn)
     sub.choices["verify"].add_argument(
         "--which", choices=["theorem1", "prop1"], required=True

@@ -8,6 +8,7 @@ raises ConfigInvalid naming the specific violation.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -63,26 +64,38 @@ def _build_process(spec: dict) -> network.NetworkProcess:
     raise ConfigInvalid(f"unknown network kind {kind!r}")
 
 
+def _whole(value, name: str, minimum: int) -> int:
+    """A whole number >= minimum; floats are accepted only when integral."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigInvalid(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return value
+
+
 def load_config(path) -> ScenarioConfig:
-    with open(path) as f:
-        raw = yaml.safe_load(f)
     try:
-        return build_config(raw)
-    except ConfigInvalid:
-        raise
-    except (DistDetectError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"{type(exc).__name__}: {exc}") from exc
+        with open(path) as f:
+            raw = yaml.safe_load(f)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigInvalid(f"cannot read {path}: {exc}") from exc
+    return build_config(raw)
 
 
 def build_config(raw: dict) -> ScenarioConfig:
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"config must be a mapping, got {type(raw).__name__}")
     try:
-        model = _build_model(raw["signal_model"])
-        process = _build_process(raw["network"])
+        return _build_config(raw)
     except ConfigInvalid:
         raise
     except (DistDetectError, KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"{type(exc).__name__}: {exc}") from exc
 
+
+def _build_config(raw: dict) -> ScenarioConfig:
+    model = _build_model(raw["signal_model"])
+    process = _build_process(raw["network"])
     if process.n != model.n:
         raise ConfigInvalid(
             f"network has n={process.n} agents but signal model has n={model.n}"
@@ -90,21 +103,22 @@ def build_config(raw: dict) -> ScenarioConfig:
     if not network.check_expected_connectivity(process):
         raise ConfigInvalid("network is not connected in expectation (A3 violated)")
 
-    horizon = int(raw.get("horizon", 1))
+    horizon = _whole(raw.get("horizon", 1), "horizon", 1)
+    trials = _whole(raw.get("trials", 1), "trials", 1)
+    seed = _whole(raw.get("seed", 0), "seed", 0)
     delta = float(raw.get("delta", 0.1))
-    trials = int(raw.get("trials", 1))
+    if not 0 < delta < 1:
+        raise ConfigInvalid(f"delta must lie in (0, 1), got {delta}")
     lr = raw.get("learning_rate", "unit")
     if lr not in ("unit", "theorem1"):
         lr = float(lr)
-    if horizon < 1:
-        raise ConfigInvalid(f"horizon must be >= 1, got {horizon}")
-    if trials < 1:
-        raise ConfigInvalid(f"trials must be >= 1, got {trials}")
-    if not 0 < delta < 1:
-        raise ConfigInvalid(f"delta must lie in (0, 1), got {delta}")
-    checkpoints = tuple(int(t) for t in raw.get("checkpoints", ()))
+        if not (math.isfinite(lr) and lr > 0):
+            raise ConfigInvalid(
+                f"learning_rate must be 'unit', 'theorem1' or a finite number > 0, got {lr!r}"
+            )
+    checkpoints = tuple(_whole(t, "checkpoints", 1) for t in raw.get("checkpoints", ()))
     for t in checkpoints:
-        if not 1 <= t <= horizon:
+        if t > horizon:
             raise ConfigInvalid(f"checkpoint {t} outside [1, horizon={horizon}]")
 
     return ScenarioConfig(
@@ -115,7 +129,7 @@ def build_config(raw: dict) -> ScenarioConfig:
         delta=delta,
         checkpoints=checkpoints,
         trials=trials,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         output_dir=str(raw.get("output_dir", "out")),
         digest=config_digest(raw),
         raw=raw,

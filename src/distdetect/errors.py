@@ -33,10 +33,6 @@ class IsolatedAgent(DistDetectError):
     """Gossip requested on a graph with a degree-zero vertex."""
 
 
-class NoConvergence(DistDetectError):
-    """Power iteration hit its iteration cap before meeting tolerance."""
-
-
 class DimensionMismatch(DistDetectError):
     """Inconsistent sizes between matrices, samples and models."""
 

@@ -9,16 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IsolatedAgent,
-    NoConvergence,
-)
+from .errors import DimensionMismatch, IsolatedAgent
 
 MATRIX_TOL = 1e-12
 POSITIVE_ENTRY_TOL = 1e-12  # threshold for "edge present" in connectivity checks
-POWER_ITER_TOL = 1e-10
-POWER_ITER_CAP = 100_000
 
 
 def validate_mixing(entries) -> np.ndarray:
@@ -155,6 +149,50 @@ def gossip_draw(g: Graph, rng) -> np.ndarray:
     return pair_average_matrix(g.n, i, j)
 
 
+def batch_mixer(p: NetworkProcess):
+    """Batched form of `NetworkProcess.draw` followed by the product W @ phi.
+
+    Returns (k, mix): each trial spends k uniforms per step, and
+    mix(phi, u) applies one step's mixing to the (R, n, m) potentials phi
+    given the (R, k) uniforms u, and returns the result. A fixed network
+    uses no uniforms; a finite-support process picks its matrix by inverse
+    CDF from one; gossip picks agent floor(u0 * n) and its neighbour number
+    floor(u1 * deg) in sorted order, and averages that pair in place instead
+    of building an n x n matrix.
+    """
+    if p.kind == "fixed":
+        return 0, lambda phi, u: np.matmul(p.matrix, phi)
+    if p.kind == "finite_support":
+        mats = np.stack([w for w, _ in p.support])
+
+        def mix_support(phi, u):
+            pick = np.searchsorted(p._probs_cdf, u[:, 0], side="right")
+            return np.matmul(mats[np.minimum(pick, len(mats) - 1)], phi)
+
+        return 1, mix_support
+    n = p.graph.n
+    nbrs = [[] for _ in range(n)]
+    for i, j in sorted(p.graph.edges):  # so every row comes out in increasing order
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    deg = np.array([len(row) for row in nbrs])
+    table = np.zeros((n, deg.max()), dtype=np.intp)
+    for i, row in enumerate(nbrs):
+        table[i, :len(row)] = row
+
+    def mix_gossip(phi, u):
+        # u < 1 keeps floor(u * d) <= d - 1 after rounding for any count d
+        trial = np.arange(len(phi))
+        i = (u[:, 0] * n).astype(np.intp)
+        j = table[i, (u[:, 1] * deg[i]).astype(np.intp)]
+        avg = 0.5 * phi[trial, i] + 0.5 * phi[trial, j]
+        phi[trial, i] = avg
+        phi[trial, j] = avg
+        return phi
+
+    return 2, mix_gossip
+
+
 def expected_matrix(p: NetworkProcess) -> np.ndarray:
     """E[W(t)] of the process; exact closed form for gossip."""
     if p.kind == "fixed":
@@ -175,39 +213,16 @@ def expected_matrix(p: NetworkProcess) -> np.ndarray:
 
 
 def sigma2(w) -> float:
-    """Second-largest singular value, via power iteration on the centered matrix.
+    """Second-largest singular value: the spectral norm of W - (1/n) * ones * ones^T.
 
-    For symmetric doubly stochastic W this is the spectral norm of
-    W - (1/n) * ones * ones^T. Iterates on the square of the centered matrix so
-    eigenvalue pairs of opposite sign cannot stall convergence.
+    For symmetric doubly stochastic W this is the largest absolute eigenvalue
+    of the centred matrix, taken from a symmetric eigensolver (symmetrised
+    first, since validation allows asymmetry up to MATRIX_TOL).
     """
     w = validate_mixing(w)
-    n = w.shape[0]
-    c = w - 1.0 / n
-    # deterministic, unstructured start; structured starts (e.g. alternating
-    # signs) can be exactly orthogonal to the dominant eigenvector
-    v = np.random.default_rng(0).standard_normal(n)
-    v -= v.mean()
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        return 0.0
-    v /= nv
-    est = 0.0
-    for _ in range(POWER_ITER_CAP):
-        u = c @ (c @ v)
-        norm_u = np.linalg.norm(u)
-        if norm_u <= 1e-300:
-            return 0.0
-        new_est = np.sqrt(max(float(v @ u), 0.0))
-        v = u / norm_u
-        if abs(new_est - est) <= POWER_ITER_TOL * max(new_est, 1e-30):
-            return min(new_est, 1.0)
-        est = new_est
-    raise NoConvergence(f"power iteration did not converge in {POWER_ITER_CAP} steps")
-
-
-def spectral_gap(w) -> float:
-    return 1.0 - sigma2(w)
+    c = w - 1.0 / w.shape[0]
+    eig = np.linalg.eigvalsh(0.5 * (c + c.T))
+    return min(float(np.abs(eig).max()), 1.0)
 
 
 def check_expected_connectivity(p: NetworkProcess) -> bool:

@@ -177,6 +177,18 @@ def log_marginal_vector(model, agent: int, symbol: int) -> np.ndarray:
     return np.log(model.agents[agent].table[:, symbol])
 
 
-def log_tables(model):
-    """Per-agent elementwise-log likelihood tables (precomputed for hot loops)."""
-    return [np.log(a.table) for a in model.agents]
+def padded_tables(model):
+    """Sampling tables for all agents at once, padded to the largest alphabet A.
+
+    Returns the (n, A) true-state CDFs and the (n, A, m) log-likelihood
+    tables indexed [agent, symbol, state]. CDF entries from each agent's last
+    symbol on are +inf, so for a uniform u the count of entries <= u is the
+    symbol `sample_step` draws for u, capped at the agent's last symbol.
+    """
+    width = max(a.alphabet_size for a in model.agents)
+    cdf = np.full((model.n, width), np.inf)
+    logtab = np.zeros((model.n, width, model.m))
+    for i, (agent, c) in enumerate(zip(model.agents, model._true_cdfs)):
+        cdf[i, :agent.alphabet_size - 1] = c[:-1]
+        logtab[i, :agent.alphabet_size] = np.log(agent.table).T
+    return cdf, logtab

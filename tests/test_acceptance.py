@@ -244,9 +244,9 @@ def test_criterion_10_deterministic_csv(tmp_path):
     }
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(raw))
-    assert cli.main(["simulate", str(path), "--workers", "1"]) == 0
+    assert cli.main(["simulate", str(path)]) == 0
     first = (tmp_path / "out" / "trajectories.csv").read_bytes()
-    assert cli.main(["simulate", str(path), "--workers", "1"]) == 0
+    assert cli.main(["simulate", str(path)]) == 0
     second = (tmp_path / "out" / "trajectories.csv").read_bytes()
     assert first == second
     _passline(10, f"byte-identical CSV across reruns ({len(first)} bytes)")

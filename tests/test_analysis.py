@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from distdetect import analysis, network, signals
+from distdetect import analysis, detection, network, signals
 from distdetect.errors import DegenerateInputs, InvalidScenario, UnderflowWindow
+
+from conftest import make_model, random_mixing_matrix
 
 
 def _toy_trajectory(tv, kl=None):
@@ -175,13 +178,31 @@ class TestMonteCarlo:
             model=reference_model, process=reference_process,
             delta=0.1, horizon=30, checkpoint=30, eta_mode="unit",
         )
-        first = [
-            analysis.prop1_trial_statistic(sc, 1.0, 9, r) for r in range(5)
-        ]
-        again = [
-            analysis.prop1_trial_statistic(sc, 1.0, 9, r) for r in range(10)
-        ]
-        assert first == again[:5]
+        first = analysis.prop1_statistics(sc, 1.0, 9, range(5))
+        again = analysis.prop1_statistics(sc, 1.0, 9, range(10))
+        assert first.tolist() == again[:5].tolist()
+
+    def test_nonfinite_statistic_fails_closed(self, reference_model, reference_process):
+        sc = analysis.VerificationScenario(
+            model=reference_model, process=reference_process,
+            delta=0.99, horizon=30, checkpoint=30, eta_mode=math.nan,
+        )
+        for which in ("prop1", "theorem1"):
+            rep = analysis.monte_carlo_verify(sc, which, R=4, base_seed=10)
+            assert rep.verdict == "fail"
+            assert rep.violations == 4
+            assert rep.trial_stats["nonfinite_statistics"] == 4
+
+    def test_log_zero_tv_is_not_a_failure(self, reference_model, reference_process):
+        # at eta = 200 every belief is a point mass by step 300: TV underflows to 0
+        sc = analysis.VerificationScenario(
+            model=reference_model, process=reference_process,
+            delta=0.1, horizon=300, checkpoint=300, eta_mode=200.0,
+        )
+        rep = analysis.monte_carlo_verify(sc, "prop1", R=4, base_seed=11)
+        assert rep.trial_stats["max_statistic"] == -math.inf
+        assert rep.trial_stats["nonfinite_statistics"] == 0
+        assert rep.verdict == "pass"
 
 
 class TestSimulateTrial:
@@ -199,3 +220,106 @@ class TestSimulateTrial:
     def test_e2_inequality_along_trajectory(self, reference_model, reference_process):
         traj = analysis.simulate_trial(reference_model, reference_process, 1.0, 300, 13)
         assert np.all(traj.tv_error <= traj.exp_gap_sum + 1e-12)
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("block_elements", [analysis.BLOCK_ELEMENTS, 1])
+    def test_trial_record_independent_of_batch(
+            self, reference_model, reference_process, monkeypatch, block_elements):
+        monkeypatch.setattr(analysis, "BLOCK_ELEMENTS", block_elements)
+        batch = analysis.simulate_trials(reference_model, reference_process, 1.0, 150,
+                                         3, range(4), diagnostics=True)
+        for r in range(4):
+            alone = analysis.simulate_trial(reference_model, reference_process, 1.0, 150, 3, r)
+            for name in ("tv_error", "kl_increment", "centralized_tv",
+                         "exp_gap_sum", "potential_gap"):
+                assert np.array_equal(getattr(alone, name), getattr(batch, name)[r]), name
+        assert batch.max_potential_gap == batch.potential_gap.max()
+        sc = analysis.VerificationScenario(
+            model=reference_model, process=reference_process,
+            delta=0.1, horizon=150, checkpoint=150, eta_mode="unit",
+        )
+        together = analysis.theorem1_statistics(sc, 1.0, 3, range(4))
+        alone = [analysis.theorem1_statistics(sc, 1.0, 3, [r])[0] for r in range(4)]
+        assert together.tolist() == alone
+
+
+@st.composite
+def engine_cases(draw):
+    return {
+        "n": draw(st.integers(2, 6)),
+        "m": draw(st.integers(2, 4)),
+        "kind": draw(st.sampled_from(["fixed", "gossip", "finite_support"])),
+        "horizon": draw(st.integers(1, 2 * analysis.STEP_BLOCK + 5)),
+        "trials": draw(st.integers(1, 4)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _random_case(n, m, kind, seed):
+    """A model with mixed alphabet sizes and a connected process of the given kind."""
+    rng = np.random.default_rng(seed)
+    anchor = [[b, 1 - b] for b in np.linspace(0.15, 0.85, m)]  # distinct rows
+    tables = [anchor]
+    for _ in range(n - 1):
+        t = rng.uniform(0.1, 1.0, size=(m, int(rng.integers(2, 5))))
+        tables.append(t / t.sum(axis=1, keepdims=True))
+    model = make_model(tables)
+    if kind == "fixed":
+        return model, network.fixed_process(random_mixing_matrix(rng, n))
+    if kind == "gossip":
+        edges = {(i, i + 1) for i in range(n - 1)}
+        edges |= {(i, j) for i in range(n) for j in range(i + 2, n) if rng.random() < 0.4}
+        return model, network.gossip_process(network.Graph(n, frozenset(edges)))
+    probs = rng.uniform(0.1, 1.0, 3)
+    probs /= probs.sum()
+    probs[-1] = 1.0 - probs[:-1].sum()
+    mats = [random_mixing_matrix(rng, n) for _ in range(3)]
+    return model, network.finite_support_process(list(zip(mats, probs)))
+
+
+def _oracle_replay(model, process, horizon, base_seed, trial):
+    """A trial's matrices and symbols read from its generator by the documented
+    layout (k network uniforms, then one per agent), using the slow draws."""
+    rng = analysis.trial_rng(base_seed, trial)
+    k = {"fixed": 0, "finite_support": 1, "gossip": 2}[process.kind]
+    matrices, samples = [], []
+    for _ in range(horizon):
+        u = rng.random(k + model.n)
+        if process.kind == "fixed":
+            w = process.matrix
+        elif process.kind == "finite_support":
+            idx = int(np.searchsorted(process._probs_cdf, u[0], side="right"))
+            w = process.support[min(idx, len(process.support) - 1)][0]
+        else:
+            i = int(u[0] * model.n)
+            nbrs = process.graph.neighbors(i)
+            w = network.pair_average_matrix(model.n, i, nbrs[int(u[1] * len(nbrs))])
+        matrices.append(w)
+        samples.append([int(np.searchsorted(cdf, x, side="right"))
+                        for cdf, x in zip(model._true_cdfs, u[k:])])
+    return matrices, samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_cases())
+def test_batched_potentials_match_oracle(case):
+    model, process = _random_case(case["n"], case["m"], case["kind"], case["seed"])
+    horizon, trials, seed = case["horizon"], case["trials"], case["seed"]
+    blocks = list(analysis.potential_blocks(model, process, horizon, seed, range(trials)))
+    dec = np.concatenate([d for _, _, d, _ in blocks])   # T x R x n x m
+    cen = np.concatenate([c for _, _, _, c in blocks])   # T x R x m
+    assert dec.shape == (horizon, trials, model.n, model.m)
+    for r in range(trials):
+        matrices, samples = _oracle_replay(model, process, horizon, seed, r)
+        d = detection.initial_decentralized(model.n, model.m, eta=1.0)
+        c = detection.initial_centralized(model.m, eta=1.0)
+        for t, (w, sample) in enumerate(zip(matrices, samples)):
+            d = detection.decentralized_step(d, w, sample, model)
+            c = detection.centralized_step(c, sample, model)
+            assert np.abs(dec[t, r] - d.phi).max() <= 1e-8
+            assert np.abs(cen[t, r] - c.phi).max() <= 1e-8
+        psis = np.array([detection.log_marginal_matrix(model, s) for s in samples])
+        for i in range(model.n):
+            closed = detection.closed_form_phi(matrices, psis, i)
+            assert np.abs(dec[-1, r, i] - closed).max() <= 1e-8

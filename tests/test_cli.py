@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -80,7 +84,7 @@ class TestConfigLoading:
 class TestSimulateCommand:
     def test_exit_zero_and_outputs(self, tmp_path):
         path = write_config(tmp_path)
-        assert cli.main(["simulate", str(path), "--workers", "1"]) == 0
+        assert cli.main(["simulate", str(path)]) == 0
         out = tmp_path / "out"
         assert (out / "trajectories.csv").exists()
         assert (out / "summary.json").exists()
@@ -93,22 +97,24 @@ class TestSimulateCommand:
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path)
-        cli.main(["simulate", str(path), "--workers", "1"])
+        cli.main(["simulate", str(path)])
         first = (tmp_path / "out" / "trajectories.csv").read_bytes()
-        cli.main(["simulate", str(path), "--workers", "1"])
+        cli.main(["simulate", str(path)])
         assert (tmp_path / "out" / "trajectories.csv").read_bytes() == first
 
-    def test_workers_do_not_change_output(self, tmp_path):
+    def test_fewer_trials_give_csv_prefix(self, tmp_path):
         path = write_config(tmp_path)
-        cli.main(["simulate", str(path), "--workers", "1"])
-        seq = (tmp_path / "out" / "trajectories.csv").read_bytes()
-        cli.main(["simulate", str(path), "--workers", "2"])
-        assert (tmp_path / "out" / "trajectories.csv").read_bytes() == seq
+        for trials in (2, 4):
+            assert cli.main(["simulate", str(path), "--trials", str(trials),
+                             "--output-dir", str(tmp_path / f"t{trials}")]) == 0
+        two = (tmp_path / "t2" / "trajectories.csv").read_bytes()
+        four = (tmp_path / "t4" / "trajectories.csv").read_bytes()
+        assert len(four) > len(two) and four.startswith(two)
 
     def test_summary_consistent_with_model(self, tmp_path):
         path = write_config(tmp_path)
         cfg = load_config(path)
-        cli.main(["simulate", str(path), "--workers", "1"])
+        cli.main(["simulate", str(path)])
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         k2, rate = signals.second_state(cfg.model)
         assert summary["second_state"] == k2
@@ -117,7 +123,7 @@ class TestSimulateCommand:
 
     def test_csv_column_order(self, tmp_path):
         path = write_config(tmp_path)
-        cli.main(["simulate", str(path), "--workers", "1"])
+        cli.main(["simulate", str(path)])
         with open(tmp_path / "out" / "trajectories.csv") as f:
             header = next(csv.reader(f))
         assert header == [
@@ -127,7 +133,7 @@ class TestSimulateCommand:
 
     def test_csv_round_trips_floats(self, tmp_path):
         path = write_config(tmp_path)
-        cli.main(["simulate", str(path), "--workers", "1"])
+        cli.main(["simulate", str(path)])
         with open(tmp_path / "out" / "trajectories.csv") as f:
             rows = list(csv.DictReader(f))
         # 3 trials x 40 steps x 4 agents
@@ -141,7 +147,7 @@ class TestSimulateCommand:
 class TestVerifyCommand:
     def test_smoke_prop1(self, tmp_path):
         path = write_config(tmp_path, {"trials": 30})
-        code = cli.main(["verify", str(path), "--which", "prop1", "--workers", "1"])
+        code = cli.main(["verify", str(path), "--which", "prop1"])
         report = json.loads((tmp_path / "out" / "verify_prop1.json").read_text())
         assert 0.0 <= report["violation_rate"] <= 1.0
         assert code == (0 if report["verdict"] == "pass" else 1)
@@ -151,9 +157,9 @@ class TestVerifyCommand:
 
     def test_doubling_trials_reuses_prefix(self, tmp_path):
         path = write_config(tmp_path, {"trials": 10})
-        cli.main(["verify", str(path), "--which", "prop1", "--workers", "1",
+        cli.main(["verify", str(path), "--which", "prop1",
                   "--output-dir", str(tmp_path / "a")])
-        cli.main(["verify", str(path), "--which", "prop1", "--workers", "1",
+        cli.main(["verify", str(path), "--which", "prop1",
                   "--trials", "20", "--output-dir", str(tmp_path / "b")])
         a = json.loads((tmp_path / "a" / "verify_prop1.json").read_text())
         b = json.loads((tmp_path / "b" / "verify_prop1.json").read_text())
@@ -162,7 +168,7 @@ class TestVerifyCommand:
 
     def test_theorem1_smoke(self, tmp_path):
         path = write_config(tmp_path, {"trials": 5, "learning_rate": "theorem1"})
-        code = cli.main(["verify", str(path), "--which", "theorem1", "--workers", "1"])
+        code = cli.main(["verify", str(path), "--which", "theorem1"])
         assert code == 0
         report = json.loads((tmp_path / "out" / "verify_theorem1.json").read_text())
         assert report["verdict"] == "pass"
@@ -195,3 +201,39 @@ class TestSpectralCommand:
             "network.matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
         })
         assert cli.main(["spectral", str(path)]) == 2  # rejected at config validation
+
+
+def run_cli_process(args):
+    """Run the CLI in a fresh interpreter, as a user would, and capture its output."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "distdetect.cli", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("overrides, flags, field", [
+    ({"seed": -5}, [], "seed"),
+    ({"horizon": 10.7}, [], "horizon"),
+    ({"trials": 2.5}, [], "trials"),
+    ({"checkpoints": [20.5]}, [], "checkpoints"),
+    ({"learning_rate": float("nan")}, [], "learning_rate"),
+    ({"learning_rate": float("inf")}, [], "learning_rate"),
+    ({"learning_rate": -1.0}, [], "learning_rate"),
+    ({}, ["--trials", "0"], "--trials"),
+    ({}, ["--seed", "-5"], "--seed"),
+    ("missing", [], "missing.yaml"),
+    ("malformed", [], "malformed.yaml"),
+])
+def test_invalid_input_exits_2_without_traceback(tmp_path, overrides, flags, field):
+    if overrides == "missing":
+        path = tmp_path / "missing.yaml"
+    elif overrides == "malformed":
+        path = tmp_path / "malformed.yaml"
+        path.write_text("signal_model: [unclosed\n")
+    else:
+        path = write_config(tmp_path, overrides)
+    res = run_cli_process(["verify", str(path), "--which", "prop1", *flags])
+    assert res.returncode == 2, res.stderr
+    assert field in res.stderr
+    assert "Traceback" not in res.stderr

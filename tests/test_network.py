@@ -126,6 +126,14 @@ class TestSigma2:
             ref = np.linalg.svd(w, compute_uv=False)[1]
             assert network.sigma2(w) == pytest.approx(ref, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_gossip_ring_closed_form(self, n):
+        # E[W] = I - L/(2n) on the n-ring, so sigma2 = 1 - (1 - cos(2 pi/n))/n;
+        # the gap is written as 2 sin^2(pi/n)/n to avoid cancellation
+        w = network.expected_matrix(network.gossip_process(network.cycle_graph(n)))
+        gap = 2.0 * math.sin(math.pi / n) ** 2 / n
+        assert 1.0 - network.sigma2(w) == pytest.approx(gap, rel=1e-9)
+
 
 class TestConnectivity:
     def test_identity_disconnected(self):
