@@ -93,12 +93,13 @@ def potential_blocks(model, process, horizon: int, base_seed: int, trials):
     count nor the horizon.
 
     Trial r draws k + n uniforms per step from `trial_rng(base_seed, r)`: the
-    k of `network.batch_mixer` first, then one per agent, turned into its
-    signal by inverse CDF. Group and block sizes change neither the stream
-    nor the arithmetic of any trial.
+    process's k = `uniforms` first, then one per agent, turned into its
+    signal by inverse CDF, as `process.draw` then `signals.sample_step` would.
+    Group and block sizes change neither the stream nor the arithmetic of
+    any trial.
     """
     n, m = model.n, model.m
-    k, mix = network.batch_mixer(process)
+    k = process.uniforms
     cdf, logtab = signals.padded_tables(model)
     agents = np.arange(n)
     trials = list(trials)
@@ -115,7 +116,7 @@ def potential_blocks(model, process, horizon: int, base_seed: int, trials):
             psi = logtab[agents, symbols]
             dec = np.empty_like(psi)
             for s in range(steps):
-                phi = mix(phi, u[s, :, :k])
+                phi = process.mix(phi, u[s, :, :k])
                 phi += psi[s]
                 dec[s] = phi
             # accumulate from the carried value so sums run in step order

@@ -29,7 +29,6 @@ class ScenarioConfig:
     seed: int
     output_dir: str
     digest: str
-    raw: dict
 
 
 def config_digest(raw: dict) -> str:
@@ -41,7 +40,8 @@ def config_digest(raw: dict) -> str:
 def _build_model(spec: dict) -> signals.SignalModel:
     tables = spec["agents"]
     m = len(tables[0])
-    states = signals.StateSpace(m=m, true_index=int(spec.get("true_state", 0)))
+    true = _whole(spec.get("true_state", 0), "true_state", 0)
+    states = signals.StateSpace(m=m, true_index=true)
     agents = [signals.AgentLikelihood(t) for t in tables]
     return signals.SignalModel(states=states, agents=agents)
 
@@ -50,18 +50,17 @@ def _build_process(spec: dict) -> network.NetworkProcess:
     kind = spec["kind"]
     if kind == "fixed":
         return network.fixed_process(spec["matrix"])
-    if kind == "gossip":
-        g = spec["graph"]
-        graph = network.Graph(int(g["n"]), frozenset(tuple(e) for e in g["edges"]))
-        return network.gossip_process(graph)
-    if kind == "metropolis":
-        g = spec["graph"]
-        graph = network.Graph(int(g["n"]), frozenset(tuple(e) for e in g["edges"]))
-        return network.fixed_process(network.metropolis_matrix(graph))
     if kind == "finite_support":
         pairs = [(item["matrix"], item["prob"]) for item in spec["support"]]
         return network.finite_support_process(pairs)
-    raise ConfigInvalid(f"unknown network kind {kind!r}")
+    if kind not in ("gossip", "metropolis"):
+        raise ConfigInvalid(f"unknown network kind {kind!r}")
+    g = spec["graph"]
+    graph = network.Graph(_whole(g["n"], "graph n", 1),
+                          frozenset(tuple(e) for e in g["edges"]))
+    if kind == "gossip":
+        return network.gossip_process(graph)
+    return network.fixed_process(network.metropolis_matrix(graph))
 
 
 def _whole(value, name: str, minimum: int) -> int:
@@ -76,7 +75,7 @@ def _whole(value, name: str, minimum: int) -> int:
 def load_config(path) -> ScenarioConfig:
     try:
         with open(path) as f:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigInvalid(f"cannot read {path}: {exc}") from exc
     return build_config(raw)
@@ -89,7 +88,7 @@ def build_config(raw: dict) -> ScenarioConfig:
         return _build_config(raw)
     except ConfigInvalid:
         raise
-    except (DistDetectError, KeyError, TypeError, ValueError) as exc:
+    except (DistDetectError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"{type(exc).__name__}: {exc}") from exc
 
 
@@ -132,5 +131,4 @@ def _build_config(raw: dict) -> ScenarioConfig:
         seed=seed,
         output_dir=str(raw.get("output_dir", "out")),
         digest=config_digest(raw),
-        raw=raw,
     )

@@ -1,15 +1,17 @@
 """Doubly stochastic symmetric mixing matrices and random network processes.
 
-Three process kinds are supported: a fixed matrix, gossip (random pairwise
-averaging on a base graph), and a finite-support i.i.d. distribution over
+Every process is an i.i.d. distribution over finitely many mixing atoms: a
+fixed matrix is one atom, gossip (random pairwise averaging on a base graph)
+has one pair-average atom per edge, and a finite-support process lists its
 matrices. Spectral quantities are computed on the expected matrix.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, IsolatedAgent
+from .errors import DegenerateInputs, DimensionMismatch, IsolatedAgent
 
 MATRIX_TOL = 1e-12
 POSITIVE_ENTRY_TOL = 1e-12  # threshold for "edge present" in connectivity checks
@@ -22,6 +24,8 @@ def validate_mixing(entries) -> np.ndarray:
         raise DimensionMismatch(f"mixing matrix must be square, got shape {w.shape}")
     if w.shape[0] < 2:
         raise ValueError("mixing matrix needs n >= 2")
+    if not np.isfinite(w).all():
+        raise ValueError("mixing matrix has non-finite entries")
     if w.min() < -MATRIX_TOL:
         raise ValueError("mixing matrix has negative entries")
     if np.abs(w - w.T).max() > MATRIX_TOL:
@@ -39,6 +43,7 @@ class Graph:
     def __post_init__(self):
         norm = set()
         for i, j in self.edges:
+            i, j = operator.index(i), operator.index(j)
             if i == j:
                 raise ValueError(f"self-loop on vertex {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
@@ -46,11 +51,8 @@ class Graph:
             norm.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", frozenset(norm))
 
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
-
-    def neighbors(self, i: int):
-        return sorted(j for e in self.edges for j in e if i in e and j != i)
+    def degrees(self) -> np.ndarray:
+        return np.bincount([v for e in self.edges for v in e], minlength=self.n)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -71,59 +73,96 @@ def star_graph(n: int) -> Graph:
 
 @dataclass(frozen=True, eq=False)
 class NetworkProcess:
-    """I.i.d. distribution over mixing matrices; use the factory functions below."""
+    """I.i.d. draws W(t) from a distribution over K mixing atoms.
+
+    `atoms` is either a (K, n, n) stack of matrices or a sorted (K, 2) array
+    of agent pairs, each standing for the matrix that averages that pair;
+    `probs` holds the K probabilities. A step spends `uniforms` uniforms:
+    none when K = 1, else one, which picks the atom by inverse CDF. Use the
+    factory functions below.
+    """
 
     n: int
-    kind: str  # "fixed" | "gossip" | "finite_support"
-    matrix: np.ndarray = None
-    graph: Graph = None
-    support: tuple = None  # ((matrix, prob), ...)
-    _probs_cdf: np.ndarray = field(default=None, repr=False)
+    probs: np.ndarray
+    atoms: np.ndarray
+    _cdf: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_cdf", np.cumsum(self.probs))
+
+    @property
+    def uniforms(self) -> int:
+        return int(len(self.probs) > 1)
+
+    def _pick(self, u):
+        """Atom index for each row of the (..., uniforms) array u."""
+        if len(self.probs) == 1:
+            return 0
+        # the CDF may end a rounding error short of 1
+        return np.minimum(np.searchsorted(self._cdf, u[..., 0], side="right"),
+                          len(self.probs) - 1)
 
     def draw(self, rng) -> np.ndarray:
-        if self.kind == "fixed":
-            return self.matrix
-        if self.kind == "gossip":
-            return gossip_draw(self.graph, rng)
-        idx = int(np.searchsorted(self._probs_cdf, rng.random(), side="right"))
-        return self.support[min(idx, len(self.support) - 1)][0]
+        a = self._pick(rng.random(self.uniforms))
+        if self.atoms.ndim == 3:
+            return self.atoms[a]
+        return pair_average_matrix(self.n, *self.atoms[a])
+
+    def mix(self, phi, u):
+        """W(t) phi for (R, n, m) potentials, trial r's atom picked by u[r].
+
+        Pair atoms are averaged in place, without building an n x n matrix.
+        """
+        a = self._pick(u)
+        if self.atoms.ndim == 3:
+            return np.matmul(self.atoms[a], phi)
+        i, j = self.atoms[a].T
+        trial = np.arange(len(phi))
+        avg = 0.5 * phi[trial, i] + 0.5 * phi[trial, j]
+        phi[trial, i] = avg
+        phi[trial, j] = avg
+        return phi
 
 
 def fixed_process(entries) -> NetworkProcess:
-    w = validate_mixing(entries)
-    return NetworkProcess(n=w.shape[0], kind="fixed", matrix=w)
+    return finite_support_process([(entries, 1.0)])
 
 
 def gossip_process(graph: Graph) -> NetworkProcess:
-    for i in range(graph.n):
-        if graph.degree(i) == 0:
-            raise IsolatedAgent(f"vertex {i} has no neighbors")
-    return NetworkProcess(n=graph.n, kind="gossip", graph=graph)
+    """Pair averages on the edges, edge (i, j) with probability (1/n)(1/d_i + 1/d_j).
+
+    That is the law of a uniform agent averaging with a uniform neighbour.
+    """
+    deg = graph.degrees()
+    if not deg.all():
+        raise IsolatedAgent(f"vertex {int(np.argmin(deg))} has no neighbors")
+    pairs = np.array(sorted(graph.edges), dtype=np.intp)
+    i, j = pairs.T
+    probs = (1.0 / graph.n) * (1.0 / deg[i]) + (1.0 / graph.n) * (1.0 / deg[j])
+    return NetworkProcess(n=graph.n, probs=probs, atoms=pairs)
 
 
 def finite_support_process(pairs) -> NetworkProcess:
     """pairs: iterable of (matrix, probability); probabilities must sum to 1."""
-    support = tuple((validate_mixing(m), float(p)) for m, p in pairs)
+    support = [(validate_mixing(m), float(p)) for m, p in pairs]
     if not support:
         raise ValueError("finite-support process needs at least one matrix")
     n = support[0][0].shape[0]
     for w, p in support:
         if w.shape[0] != n:
             raise DimensionMismatch("finite-support matrices have inconsistent sizes")
-        if p <= 0:
+        if not p > 0:
             raise ValueError(f"nonpositive probability {p}")
     probs = np.array([p for _, p in support])
-    if abs(probs.sum() - 1.0) > MATRIX_TOL:
+    if not abs(probs.sum() - 1.0) <= MATRIX_TOL:
         raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-    return NetworkProcess(
-        n=n, kind="finite_support", support=support, _probs_cdf=np.cumsum(probs)
-    )
+    return NetworkProcess(n=n, probs=probs, atoms=np.stack([w for w, _ in support]))
 
 
 def metropolis_matrix(g: Graph) -> np.ndarray:
     """Metropolis weights: w_ij = 1/(1 + max(deg i, deg j)) on edges, diagonal absorbs."""
     w = np.zeros((g.n, g.n))
-    deg = [g.degree(i) for i in range(g.n)]
+    deg = g.degrees()
     for i, j in g.edges:
         w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     for i in range(g.n):
@@ -139,76 +178,18 @@ def pair_average_matrix(n: int, i: int, j: int) -> np.ndarray:
     return w
 
 
-def gossip_draw(g: Graph, rng) -> np.ndarray:
-    """One gossip round: uniform agent picks a uniform neighbor and they average."""
-    i = int(rng.integers(g.n))
-    nbrs = g.neighbors(i)
-    if not nbrs:
-        raise IsolatedAgent(f"vertex {i} has no neighbors")
-    j = nbrs[int(rng.integers(len(nbrs)))]
-    return pair_average_matrix(g.n, i, j)
-
-
-def batch_mixer(p: NetworkProcess):
-    """Batched form of `NetworkProcess.draw` followed by the product W @ phi.
-
-    Returns (k, mix): each trial spends k uniforms per step, and
-    mix(phi, u) applies one step's mixing to the (R, n, m) potentials phi
-    given the (R, k) uniforms u, and returns the result. A fixed network
-    uses no uniforms; a finite-support process picks its matrix by inverse
-    CDF from one; gossip picks agent floor(u0 * n) and its neighbour number
-    floor(u1 * deg) in sorted order, and averages that pair in place instead
-    of building an n x n matrix.
-    """
-    if p.kind == "fixed":
-        return 0, lambda phi, u: np.matmul(p.matrix, phi)
-    if p.kind == "finite_support":
-        mats = np.stack([w for w, _ in p.support])
-
-        def mix_support(phi, u):
-            pick = np.searchsorted(p._probs_cdf, u[:, 0], side="right")
-            return np.matmul(mats[np.minimum(pick, len(mats) - 1)], phi)
-
-        return 1, mix_support
-    n = p.graph.n
-    nbrs = [[] for _ in range(n)]
-    for i, j in sorted(p.graph.edges):  # so every row comes out in increasing order
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    deg = np.array([len(row) for row in nbrs])
-    table = np.zeros((n, deg.max()), dtype=np.intp)
-    for i, row in enumerate(nbrs):
-        table[i, :len(row)] = row
-
-    def mix_gossip(phi, u):
-        # u < 1 keeps floor(u * d) <= d - 1 after rounding for any count d
-        trial = np.arange(len(phi))
-        i = (u[:, 0] * n).astype(np.intp)
-        j = table[i, (u[:, 1] * deg[i]).astype(np.intp)]
-        avg = 0.5 * phi[trial, i] + 0.5 * phi[trial, j]
-        phi[trial, i] = avg
-        phi[trial, j] = avg
-        return phi
-
-    return 2, mix_gossip
-
-
 def expected_matrix(p: NetworkProcess) -> np.ndarray:
-    """E[W(t)] of the process; exact closed form for gossip."""
-    if p.kind == "fixed":
-        return p.matrix
-    if p.kind == "finite_support":
-        return validate_mixing(sum(prob * w for w, prob in p.support))
-    g = p.graph
-    w = np.eye(g.n)
-    deg = [g.degree(i) for i in range(g.n)]
-    for i, j in g.edges:
-        # edge activation prob under the two-stage uniform pick
-        q = (1.0 / g.n) * (1.0 / deg[i]) + (1.0 / g.n) * (1.0 / deg[j])
-        w[i, i] -= q / 2
-        w[j, j] -= q / 2
-        w[i, j] += q / 2
-        w[j, i] += q / 2
+    """E[W(t)] = sum_a p_a W_a, added in atom order.
+
+    Pair atoms add their p_a/2 to the four entries they touch of I, so no
+    n x n matrix is built per atom.
+    """
+    if p.atoms.ndim == 3:
+        return validate_mixing(sum(q * w for q, w in zip(p.probs, p.atoms)))
+    w = np.eye(p.n)
+    i, j = p.atoms.T
+    for rows, cols, sign in ((i, i, -0.5), (j, j, -0.5), (i, j, 0.5), (j, i, 0.5)):
+        np.add.at(w, (rows, cols), sign * p.probs)
     return validate_mixing(w)
 
 
@@ -227,18 +208,11 @@ def sigma2(w) -> float:
 
 def check_expected_connectivity(p: NetworkProcess) -> bool:
     """True iff the support graph of E[W] (off-diagonal entries > 1e-12) is connected."""
-    w = expected_matrix(p)
-    n = w.shape[0]
-    adj = w > POSITIVE_ENTRY_TOL
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if j != i and adj[i, j] and not seen[j]:
-                seen[j] = True
-                stack.append(j)
+    adj = expected_matrix(p) > POSITIVE_ENTRY_TOL
+    seen = new = np.arange(p.n) == 0
+    while new.any():  # breadth-first from agent 0
+        new = adj[new].any(axis=0) & ~seen
+        seen = seen | new
     return bool(seen.all())
 
 
@@ -249,7 +223,7 @@ def mixing_deviation_sum(w, i: int, t: int) -> float:
     if not 0 <= i < n:
         raise DimensionMismatch(f"agent index {i} outside [0, {n})")
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise DegenerateInputs(f"t must be >= 1, got {t}")
     row = np.zeros(n)
     row[i] = 1.0
     total = 0.0

@@ -97,9 +97,9 @@ def validate_model(model) -> ValidationReport:
             raise DimensionMismatch(
                 f"agent {i} table has {t.shape[0]} rows, model has {m} states"
             )
-        if np.any(t <= 0):
+        if not np.all(t > 0):
             raise ZeroLikelihoodEntry(
-                f"agent {i} table has a non-positive entry; log-bound would be infinite"
+                f"agent {i} table has a non-positive or NaN entry; log-bound would be infinite"
             )
         sums = t.sum(axis=1)
         bad = np.abs(sums - 1.0) > ROW_SUM_TOL

@@ -280,24 +280,12 @@ def _random_case(n, m, kind, seed):
 
 def _oracle_replay(model, process, horizon, base_seed, trial):
     """A trial's matrices and symbols read from its generator by the documented
-    layout (k network uniforms, then one per agent), using the slow draws."""
+    layout (the network's draw, then one uniform per agent), using the slow draws."""
     rng = analysis.trial_rng(base_seed, trial)
-    k = {"fixed": 0, "finite_support": 1, "gossip": 2}[process.kind]
     matrices, samples = [], []
     for _ in range(horizon):
-        u = rng.random(k + model.n)
-        if process.kind == "fixed":
-            w = process.matrix
-        elif process.kind == "finite_support":
-            idx = int(np.searchsorted(process._probs_cdf, u[0], side="right"))
-            w = process.support[min(idx, len(process.support) - 1)][0]
-        else:
-            i = int(u[0] * model.n)
-            nbrs = process.graph.neighbors(i)
-            w = network.pair_average_matrix(model.n, i, nbrs[int(u[1] * len(nbrs))])
-        matrices.append(w)
-        samples.append([int(np.searchsorted(cdf, x, side="right"))
-                        for cdf, x in zip(model._true_cdfs, u[k:])])
+        matrices.append(process.draw(rng))
+        samples.append(signals.sample_step(model, rng))
     return matrices, samples
 
 

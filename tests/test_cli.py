@@ -1,16 +1,23 @@
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from distdetect import cli, signals
-from distdetect.config import load_config
+from distdetect import analysis, cli, signals
+from distdetect.config import config_digest, load_config
 from distdetect.errors import ConfigInvalid
+
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
 
 SMALL_CONFIG = {
     "signal_model": {
@@ -53,7 +60,8 @@ class TestConfigLoading:
     def test_round_trip(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         assert cfg.model.n == 4 and cfg.model.m == 3
-        assert cfg.process.kind == "gossip"
+        assert cfg.process.atoms.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
+        assert cfg.process.probs.tolist() == [0.25] * 4
         assert cfg.checkpoints == (40,)
 
     def test_unidentifiable_model_rejected(self, tmp_path):
@@ -74,6 +82,12 @@ class TestConfigLoading:
         path = write_config(tmp_path, {"network.graph.n": 5})
         with pytest.raises(ConfigInvalid):
             load_config(path)
+
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+    def test_digest_independent_of_yaml_parser(self, path):
+        # libyaml, when present, must build the same tree as the pure-Python parser
+        raw = yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+        assert load_config(path).digest == config_digest(raw)
 
     def test_bad_delta_rejected(self, tmp_path):
         path = write_config(tmp_path, {"delta": 1.5})
@@ -131,6 +145,31 @@ class TestSimulateCommand:
             "kl_increment", "centralized_tv_error",
         ]
 
+    def test_csv_bytes_match_reference_writer(self, tmp_path, monkeypatch):
+        # rows are formatted in chunks; a chunk size that divides nothing
+        # exercises rows split across chunks, trials and steps
+        monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+        path = write_config(tmp_path, {"learning_rate": 1000.0})  # TV underflows: -inf logs
+        cfg = load_config(path)
+        assert cli.main(["simulate", str(path)]) == 0
+        batch = analysis.simulate_trials(cfg.model, cfg.process, 1000.0, cfg.horizon,
+                                         cfg.seed, range(cfg.trials))
+        ref = io.StringIO(newline="")
+        wr = csv.writer(ref)
+        wr.writerow(["trial", "t", "agent", "tv_error", "log_tv_error",
+                     "kl_increment", "centralized_tv_error"])
+        with np.errstate(divide="ignore"):
+            log_tv = np.log(batch.tv_error)
+        for r in range(cfg.trials):
+            for t in range(cfg.horizon):
+                for i in range(cfg.model.n):
+                    wr.writerow([r, t + 1, i] + [format(float(x), ".17g") for x in (
+                        batch.tv_error[r, t, i], log_tv[r, t, i],
+                        batch.kl_increment[r, t, i], batch.centralized_tv[r, t])])
+        written = (tmp_path / "out" / "trajectories.csv").read_bytes()
+        assert b"-inf" in written
+        assert written == ref.getvalue().encode()
+
     def test_csv_round_trips_floats(self, tmp_path):
         path = write_config(tmp_path)
         cli.main(["simulate", str(path)])
@@ -166,6 +205,23 @@ class TestVerifyCommand:
         # the first 10 trials are shared; the max statistic can only grow
         assert b["trial_stats"]["max_statistic"] >= a["trial_stats"]["max_statistic"]
 
+    def test_every_prop1_checkpoint_is_checked(self, tmp_path, monkeypatch):
+        real = analysis.prop1_log_tv_bound
+
+        def broken_late(*args):  # a bound no statistic can meet, from t = 30 on
+            rep = real(*args)
+            return rep if args[-1] < 30 else analysis.BoundReport(-1e9, rep.terms, rep.inputs)
+
+        monkeypatch.setattr(analysis, "prop1_log_tv_bound", broken_late)
+        path = write_config(tmp_path, {"checkpoints": [10, 40], "trials": 4})
+        assert cli.main(["verify", str(path), "--which", "prop1"]) == 1
+        report = json.loads((tmp_path / "out" / "verify_prop1.json").read_text())
+        assert report["verdict"] == "fail" and report["checkpoint"] == 40
+        assert [(c["checkpoint"], c["verdict"]) for c in report["per_checkpoint"]] == [
+            (10, "pass"), (40, "fail")]
+        assert report["which"] == "prop1" and report["trials"] == 4
+        assert math.isfinite(report["trial_stats"]["max_statistic"])
+
     def test_theorem1_smoke(self, tmp_path):
         path = write_config(tmp_path, {"trials": 5, "learning_rate": "theorem1"})
         code = cli.main(["verify", str(path), "--which", "theorem1"])
@@ -194,6 +250,20 @@ class TestSpectralCommand:
         assert doc["connected_in_expectation"] is True
         assert 0.0 < doc["sigma2"] < 1.0
         assert len(doc["mixing_deviation"]) == 2
+
+    def test_bad_t_values_exit_2(self, tmp_path):
+        path = write_config(tmp_path)
+        assert cli.main(["spectral", str(path), "--t-values", "3", "0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectral", str(path), "--t-values", "ten"])
+        assert exc.value.code == 2
+
+    def test_unusable_output_dir_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(["spectral", str(path), "--output-dir", str(blocker / "out")]) == 2
+        assert "output directory" in capsys.readouterr().err
 
     def test_identity_disconnected(self, tmp_path):
         path = write_config(tmp_path, {
@@ -224,6 +294,7 @@ def run_cli_process(args):
     ({}, ["--seed", "-5"], "--seed"),
     ("missing", [], "missing.yaml"),
     ("malformed", [], "malformed.yaml"),
+    ({"signal_model.agents": []}, [], "IndexError"),
 ])
 def test_invalid_input_exits_2_without_traceback(tmp_path, overrides, flags, field):
     if overrides == "missing":
@@ -237,3 +308,62 @@ def test_invalid_input_exits_2_without_traceback(tmp_path, overrides, flags, fie
     assert res.returncode == 2, res.stderr
     assert field in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def _node_paths(tree, path=()):
+    """The path to every node of a config tree: mapping keys and list indices."""
+    yield path
+    if isinstance(tree, dict):
+        children = tree.items()
+    elif isinstance(tree, list):
+        children = enumerate(tree)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.text(max_size=4),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 0.5, 2.5]),
+    st.lists(st.integers(-3, 8), max_size=3),                          # empty or short
+    st.lists(st.lists(st.floats(0, 1), max_size=3), max_size=3),      # ragged
+    st.dictionaries(st.sampled_from(["n", "kind", "matrix"]), st.integers(0, 4), max_size=2),
+)
+COMMANDS = (["simulate"], ["spectral"], ["verify", "--which", "prop1"],
+            ["verify", "--which", "theorem1"])
+FINITE_SUPPORT_CONFIG = dict(SMALL_CONFIG, network={"kind": "finite_support", "support": [
+    {"matrix": [[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]],
+     "prob": 0.5},
+    {"matrix": [[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 1]],
+     "prob": 0.5},
+]})
+
+
+@st.composite
+def junk_configs(draw):
+    """A valid small config with one node (possibly the root) replaced by junk."""
+    raw = json.loads(json.dumps(draw(st.sampled_from([SMALL_CONFIG, FINITE_SUPPORT_CONFIG]))))
+    path = draw(st.sampled_from(list(_node_paths(raw))))
+    junk = draw(JUNK)
+    if not path:
+        return junk, junk
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = junk
+    return raw, junk
+
+
+@settings(max_examples=120, deadline=None)
+@given(junk_configs(), st.sampled_from(COMMANDS))
+def test_junk_config_node_exits_cleanly(case, command):
+    # horizons and trial counts stay small: resource exhaustion is not probed here
+    raw, junk = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "junk.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        code = cli.main([command[0], str(cfg), *command[1:], "--output-dir", tmp])
+    assert code in (0, 1, 2)
+    if isinstance(junk, float) and not math.isfinite(junk):
+        assert code == 2  # no config field accepts a NaN or an infinity

@@ -36,13 +36,13 @@ class TestGossip:
         g = network.path_graph(2)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            np.testing.assert_allclose(network.gossip_draw(g, rng), 0.5)
+            np.testing.assert_allclose(network.gossip_process(g).draw(rng), 0.5)
 
     def test_draws_are_valid_matrices(self):
         g = network.cycle_graph(5)
         rng = np.random.default_rng(4)
         for _ in range(200):
-            network.validate_mixing(network.gossip_draw(g, rng))
+            network.validate_mixing(network.gossip_process(g).draw(rng))
 
     def test_isolated_agent_rejected(self):
         g = network.Graph(3, frozenset({(0, 1)}))
@@ -51,17 +51,80 @@ class TestGossip:
 
     def test_triangle_pair_frequencies(self):
         # on a 3-cycle each unordered pair activates with probability 1/3
-        g = network.cycle_graph(3)
+        p = network.gossip_process(network.cycle_graph(3))
         rng = np.random.default_rng(5)
         counts = Counter()
         n_draws = 100_000
         for _ in range(n_draws):
-            w = network.gossip_draw(g, rng)
+            w = p.draw(rng)
             i, j = np.argwhere(np.triu(w, 1) > 0)[0]
             counts[(i, j)] += 1
         sigma = math.sqrt((1 / 3) * (2 / 3) / n_draws)
         for pair in [(0, 1), (0, 2), (1, 2)]:
             assert counts[pair] / n_draws == pytest.approx(1 / 3, abs=3 * sigma)
+
+
+def _gossip_closed_form(g):
+    """E[W] of gossip written out edge by edge: a uniform agent averages with a
+    uniform neighbour, so edge (i, j) fires with probability (1/n)(1/d_i + 1/d_j)."""
+    w = np.eye(g.n)
+    deg = [sum(1 for e in g.edges if i in e) for i in range(g.n)]
+    for i, j in g.edges:
+        q = (1.0 / g.n) * (1.0 / deg[i]) + (1.0 / g.n) * (1.0 / deg[j])
+        w[i, i] -= q / 2
+        w[j, j] -= q / 2
+        w[i, j] += q / 2
+        w[j, i] += q / 2
+    return w
+
+
+KITE = network.Graph(5, frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)}))
+
+
+class TestAtoms:
+    def test_gossip_atom_probabilities_on_irregular_graph(self):
+        for g in (network.star_graph(6), KITE):
+            p = network.gossip_process(g)
+            deg = [sum(1 for e in g.edges if v in e) for v in range(g.n)]
+            assert p.atoms.tolist() == sorted(list(e) for e in g.edges)
+            for (i, j), q in zip(p.atoms, p.probs):
+                assert q == pytest.approx((1 / g.n) * (1 / deg[i] + 1 / deg[j]), abs=1e-15)
+            assert p.probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("g", [
+        network.path_graph(2), network.cycle_graph(3), network.star_graph(4),
+        network.star_graph(9), KITE, network.complete_graph(6), network.cycle_graph(256),
+    ], ids=lambda g: f"n{g.n}e{len(g.edges)}")
+    def test_gossip_expected_matrix_matches_closed_form(self, g):
+        w = network.expected_matrix(network.gossip_process(g))
+        assert np.abs(w - _gossip_closed_form(g)).max() <= 1e-15
+
+    def test_one_atom_draw_spends_no_uniform(self, path3_matrix):
+        for p in (network.fixed_process(path3_matrix),
+                  network.finite_support_process([(path3_matrix, 1.0)]),
+                  network.gossip_process(network.path_graph(2))):
+            rng = np.random.default_rng(1)
+            before = rng.bit_generator.state
+            p.draw(rng)
+            assert p.uniforms == 0
+            assert rng.bit_generator.state == before
+
+    def test_many_atoms_draw_spends_one_uniform(self, path3_matrix):
+        for p in (network.gossip_process(network.cycle_graph(4)),
+                  network.finite_support_process([(path3_matrix, 0.5), (np.eye(3), 0.5)])):
+            rng, twin = np.random.default_rng(2), np.random.default_rng(2)
+            p.draw(rng)
+            twin.random()
+            assert p.uniforms == 1
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_mix_picks_atom_by_inverse_cdf(self):
+        p = network.gossip_process(KITE)  # atoms (0,1) (0,2) (0,3) (0,4) (1,2)
+        cdf = np.cumsum(p.probs)
+        for u, pair in ((0.0, (0, 1)), (cdf[0], (0, 2)), (cdf[3] - 1e-12, (0, 4)),
+                        (np.nextafter(1.0, 0.0), (1, 2))):
+            want = network.pair_average_matrix(5, *pair)
+            assert np.array_equal(p.mix(np.eye(5)[None].copy(), np.array([[u]]))[0], want)
 
 
 class TestExpectedMatrix:
