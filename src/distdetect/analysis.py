@@ -155,10 +155,15 @@ def _kl_to_centralized(dec, cen, eta):
     return np.maximum(kl, 0.0), mu, mu_c
 
 
-def _false_mass(mu, true: int):
-    # TV to the truth is the total false-state mass; summing it directly
-    # keeps precision down to float underflow (1 - mu[true] cancels at ~1e-16)
-    return sum(col for k, col in enumerate(_columns(mu)) if k != true)
+def _false_mass(x, true: int):
+    return sum(col for k, col in enumerate(_columns(x)) if k != true)
+
+
+def _tv_error(mu, true: int):
+    # TV to the truth is the false-state mass: summing it directly keeps precision
+    # down to float underflow (1 - mu[true] cancels at ~1e-16), but the sum can
+    # round an ulp above 1
+    return np.minimum(_false_mass(mu, true), 1.0)
 
 
 def simulate_trials(model, process, eta: float, horizon: int, base_seed: int,
@@ -178,8 +183,8 @@ def simulate_trials(model, process, eta: float, horizon: int, base_seed: int,
         steps = slice(t0, t0 + len(dec))
         inc, mu, mu_c = _kl_to_centralized(dec, cen, eta)
         kl[rows, steps] = inc.swapaxes(0, 1)
-        tv[rows, steps] = _false_mass(mu, true).swapaxes(0, 1)
-        ctv[rows, steps] = _false_mass(mu_c, true).T
+        tv[rows, steps] = _tv_error(mu, true).swapaxes(0, 1)
+        ctv[rows, steps] = _tv_error(mu_c, true).T
         gap = functools.reduce(np.maximum, _columns(np.abs(dec.mean(axis=2) - cen)))
         max_gap = np.maximum(max_gap, gap.max())
         if diagnostics:
@@ -231,15 +236,19 @@ def theorem1_bound(B, I, m, n, delta, sigma2_w) -> BoundReport:
     )
 
 
-def prop1_log_tv_bound(B, I, m, n, delta, sigma2_w, t) -> BoundReport:
-    """Anytime high-probability bound on log ||mu_{i,t} - e_true||_TV (natural log)."""
+def prop1_log_tv_bound(B, I, m, n, delta, sigma2_w, t, eta=1.0) -> BoundReport:
+    """Anytime high-probability bound on log ||mu_{i,t} - e_true||_TV (natural log).
+
+    The rate, fluctuation and network terms bound max_k (phi_k - phi_true), and
+    TV <= sum_{k != true} exp(eta (phi_k - phi_true)), so they scale with eta.
+    """
     _check_bound_inputs(B=B, I=I, m=m, n=n, delta=delta, sigma2_w=sigma2_w)
     if t < 1:
         raise DegenerateInputs(f"t must be >= 1, got {t}")
     terms = {
-        "rate": -I * t,
-        "fluctuation": math.sqrt(2.0 * B**2 * t * math.log(m / delta)),
-        "network": 8.0 * B * math.log(n) / (1.0 - sigma2_w),
+        "rate": -eta * I * t,
+        "fluctuation": eta * math.sqrt(2.0 * B**2 * t * math.log(m / delta)),
+        "network": eta * 8.0 * B * math.log(n) / (1.0 - sigma2_w),
         "log_m": math.log(m),
     }
     return BoundReport(
@@ -261,40 +270,47 @@ def _check_bound_inputs(*, B, I, m, n, delta, sigma2_w):
         raise DegenerateInputs(f"sigma2 must lie in [0, 1), got {sigma2_w}")
 
 
-@dataclass(frozen=True)
-class VerificationScenario:
-    """Inputs for one Monte Carlo bound check."""
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """A model, a network over the same agents and the settings of the bounds.
 
-    model: object
+    Construction checks the network against the model: the sizes must match
+    and E[W], kept as `w_bar`, must be connected (A3).
+    """
+
+    model: signals.SignalModel
     process: network.NetworkProcess
+    horizon: int               # T of the cost bound and of `simulate`
+    learning_rate: object      # "unit" | "theorem1" | float
     delta: float
-    horizon: int          # T for the cost bound; ignored by the anytime check
-    checkpoint: int       # t for the anytime check; ignored by the cost bound
-    eta_mode: object = "auto"  # "auto" | "unit" | "theorem1" | float
+    checkpoints: tuple         # the t of the anytime bound
+    w_bar: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.process.n != self.model.n:
+            raise InvalidScenario(f"network has n={self.process.n} agents "
+                                  f"but signal model has n={self.model.n}")
+        w_bar = network.expected_matrix(self.process)
+        if not network.check_expected_connectivity(w_bar):
+            raise InvalidScenario("network is not connected in expectation (A3 violated)")
+        object.__setattr__(self, "w_bar", w_bar)
 
 
-def scenario_quantities(model, process):
-    """Check a model and process; return (B, hardest false state, its rate I, sigma2)."""
-    report = signals.validate_model(model)
-    if not network.check_expected_connectivity(process):
-        raise InvalidScenario("network process is not connected in expectation")
-    if process.n != model.n:
-        raise InvalidScenario(f"process has n={process.n} but model has n={model.n}")
-    k2, rate = signals.second_state(model)
-    return report.log_bound, k2, rate, network.sigma2(network.expected_matrix(process))
+def bound_inputs(sc: Scenario):
+    """(B, hardest false state, its rate I, sigma2 of E[W], learning rate eta)."""
+    B = signals.log_bound_B(sc.model)
+    k2, rate = signals.second_state(sc.model)
+    s2 = network.sigma2(sc.w_bar)
+    if sc.learning_rate == "unit":
+        eta = 1.0
+    elif sc.learning_rate == "theorem1":
+        eta = detection.theorem1_learning_rate(B, sc.model.n, s2)
+    else:
+        eta = float(sc.learning_rate)
+    return B, k2, rate, s2, eta
 
 
-def resolve_eta(mode, B, n, sigma2_w, which=None) -> float:
-    if mode == "auto":
-        mode = "theorem1" if which == "theorem1" else "unit"
-    if mode == "unit":
-        return 1.0
-    if mode == "theorem1":
-        return detection.theorem1_learning_rate(B, n, sigma2_w)
-    return float(mode)
-
-
-def theorem1_statistics(sc: VerificationScenario, eta, base_seed, trials) -> np.ndarray:
+def theorem1_statistics(sc: Scenario, eta, base_seed, trials) -> np.ndarray:
     """Per trial, the largest cumulative KL cost over agents at horizon T."""
     cost = np.zeros((len(trials), sc.model.n))
     for rows, _, dec, cen in potential_blocks(
@@ -303,58 +319,63 @@ def theorem1_statistics(sc: VerificationScenario, eta, base_seed, trials) -> np.
     return cost.max(axis=1)
 
 
-def prop1_statistics(sc: VerificationScenario, eta, base_seed, trials) -> np.ndarray:
-    """Per trial, the largest log TV error over agents at the checkpoint."""
-    stats = np.full(len(trials), np.nan)  # a checkpoint never reached fails closed
+def prop1_statistics(sc: Scenario, eta, base_seed, trials) -> np.ndarray:
+    """Per trial and checkpoint, the largest log TV error over agents: (R, C)."""
+    true = sc.model.states.true_index
+    stats = np.full((len(trials), len(sc.checkpoints)), np.nan)  # unreached fails closed
     for rows, t0, dec, _ in potential_blocks(
-            sc.model, sc.process, sc.checkpoint, base_seed, trials):
-        if t0 + len(dec) == sc.checkpoint:
-            tv = _false_mass(_beliefs(dec[-1], eta)[2], sc.model.states.true_index)
-            with np.errstate(divide="ignore"):
-                stats[rows] = np.log(tv).max(axis=1)  # log(0) = -inf is fine
+            sc.model, sc.process, max(sc.checkpoints), base_seed, trials):
+        for c, t in enumerate(sc.checkpoints):
+            if t0 < t <= t0 + len(dec):
+                tv = _tv_error(_beliefs(dec[t - t0 - 1], eta)[2], true)
+                with np.errstate(divide="ignore"):
+                    stats[rows, c] = np.log(tv).max(axis=1)  # log(0) = -inf is fine
     return stats
 
 
-def monte_carlo_verify(sc: VerificationScenario, which: str, R: int,
-                       base_seed: int) -> MonteCarloReport:
+def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list:
     """Estimate the violation frequency of a bound over R independent trials.
 
-    Fails closed: a NaN or +inf statistic counts as a violation and fails the
-    verdict outright. Only -inf, the log of a TV error that underflowed to 0,
-    is a legitimate non-finite statistic.
+    Returns one MonteCarloReport for theorem1 (at the horizon) and one per
+    checkpoint for prop1, all from one engine run. Fails closed: a NaN or
+    +inf statistic counts as a violation and fails the verdict outright.
+    Only -inf, the log of a TV error that underflowed to 0, is a legitimate
+    non-finite statistic.
     """
     if which not in ("theorem1", "prop1"):
         raise ValueError(f"unknown verification target {which!r}")
     if R < 1:
         raise ValueError("need at least one trial")
-    B, _, I, s2 = scenario_quantities(sc.model, sc.process)
-    eta = resolve_eta(sc.eta_mode, B, sc.model.n, s2, which)
+    B, _, I, s2, eta = bound_inputs(sc)
+    m, n, delta = sc.model.m, sc.model.n, sc.delta
     if which == "theorem1":
-        bound = theorem1_bound(B, I, sc.model.m, sc.model.n, sc.delta, s2)
-        statistics = theorem1_statistics(sc, eta, base_seed, range(R))
+        bounds = [theorem1_bound(B, I, m, n, delta, s2)]
+        statistics = theorem1_statistics(sc, eta, base_seed, range(R))[:, None]
     else:
-        bound = prop1_log_tv_bound(
-            B, I, sc.model.m, sc.model.n, sc.delta, s2, sc.checkpoint
-        )
+        bounds = [prop1_log_tv_bound(B, I, m, n, delta, s2, t, eta=eta)
+                  for t in sc.checkpoints]
         statistics = prop1_statistics(sc, eta, base_seed, range(R))
 
-    broken = np.isnan(statistics) | (statistics == np.inf)
-    violations = int(np.count_nonzero(broken | (statistics > bound.total)))
-    rate = violations / R
-    slack = 3.0 * math.sqrt(sc.delta * (1.0 - sc.delta) / R)
-    verdict = "pass" if rate <= sc.delta + slack and not broken.any() else "fail"
-    finite = statistics[np.isfinite(statistics)]
-    return MonteCarloReport(
-        which=which, trials=R, violations=violations, violation_rate=rate,
-        delta=sc.delta, slack=slack, verdict=verdict, bound=bound,
-        trial_stats={
-            "eta": eta,
-            "max_statistic": float(np.max(statistics)),
-            "mean_finite_statistic":
-                float(np.mean(finite)) if finite.size else float("-inf"),
-            "nonfinite_statistics": int(np.count_nonzero(broken)),
-        },
-    )
+    slack = 3.0 * math.sqrt(delta * (1.0 - delta) / R)
+    reports = []
+    for bound, stats in zip(bounds, statistics.T):
+        broken = np.isnan(stats) | (stats == np.inf)
+        violations = int(np.count_nonzero(broken | (stats > bound.total)))
+        rate = violations / R
+        finite = stats[np.isfinite(stats)]
+        reports.append(MonteCarloReport(
+            which=which, trials=R, violations=violations, violation_rate=rate,
+            delta=delta, slack=slack, bound=bound,
+            verdict="pass" if rate <= delta + slack and not broken.any() else "fail",
+            trial_stats={
+                "eta": eta,
+                "max_statistic": float(np.max(stats)),
+                "mean_finite_statistic":
+                    float(np.mean(finite)) if finite.size else float("-inf"),
+                "nonfinite_statistics": int(np.count_nonzero(broken)),
+            },
+        ))
+    return reports
 
 
 def empirical_rate_slope(trajectory: TrajectoryRecord, i: int, window) -> float:

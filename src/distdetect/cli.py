@@ -45,8 +45,7 @@ def _resolve(cfg, args):
 
 def cmd_simulate(cfg, args) -> int:
     seed, trials, outdir = _resolve(cfg, args)
-    B, k2, rate, s2 = analysis.scenario_quantities(cfg.model, cfg.process)
-    eta = analysis.resolve_eta(cfg.learning_rate, B, cfg.model.n, s2)
+    B, k2, rate, s2, eta = analysis.bound_inputs(cfg)
     batch = analysis.simulate_trials(cfg.model, cfg.process, eta, cfg.horizon,
                                      seed, range(trials))
 
@@ -98,13 +97,9 @@ def cmd_verify(cfg, args) -> int:
     which = args.which
     if which == "prop1" and not cfg.checkpoints:
         raise ConfigInvalid("prop1 verification needs at least one checkpoint")
+    reports = analysis.monte_carlo_verify(cfg, which, trials, seed)
     docs = []
-    for t in cfg.checkpoints if which == "prop1" else [None]:
-        sc = analysis.VerificationScenario(
-            model=cfg.model, process=cfg.process, delta=cfg.delta,
-            horizon=cfg.horizon, checkpoint=t or cfg.horizon, eta_mode=cfg.learning_rate,
-        )
-        rep = analysis.monte_carlo_verify(sc, which, trials, seed)
+    for t, rep in zip(cfg.checkpoints if which == "prop1" else [None], reports):
         docs.append({
             "config_digest": cfg.digest, **asdict(rep), "seed": seed, "checkpoint": t,
             "horizon": cfg.horizon if which == "theorem1" else None,
@@ -127,20 +122,19 @@ def cmd_verify(cfg, args) -> int:
 
 def cmd_spectral(cfg, args) -> int:
     seed, _, outdir = _resolve(cfg, args)
-    w_bar = network.expected_matrix(cfg.process)
-    s2 = network.sigma2(w_bar)
+    s2 = network.sigma2(cfg.w_bar)
     t_values = args.t_values if args.t_values else list(cfg.checkpoints)
     doc = {
         "config_digest": cfg.digest,
-        "expected_matrix": w_bar.tolist(),
+        "expected_matrix": cfg.w_bar.tolist(),
         "sigma2": s2,
         "spectral_gap": 1.0 - s2,
-        "connected_in_expectation": network.check_expected_connectivity(cfg.process),
+        "connected_in_expectation": True,  # a config that fails A3 does not load
         "mixing_deviation": [
             {
                 "t": t,
                 "per_agent": [
-                    network.mixing_deviation_sum(w_bar, i, t)
+                    network.mixing_deviation_sum(cfg.w_bar, i, t)
                     for i in range(cfg.process.n)
                 ],
             }

@@ -1,9 +1,10 @@
 """Declarative experiment configs (YAML) and their validation.
 
-A config bundles a signal model, a network process, run-length parameters
-and output locations. Validation enforces the three modeling assumptions
-(bounded log-marginals, global identifiability, expected connectivity) and
-raises ConfigInvalid naming the specific violation.
+A config is an `analysis.Scenario` plus its run settings (trials, seed,
+output directory, digest). The signal model checks its own assumptions, the
+scenario checks the network against the model (sizes, A3 connectivity), and
+this module the run settings; each failure is raised as ConfigInvalid
+naming the specific violation.
 """
 
 import hashlib
@@ -13,18 +14,12 @@ from dataclasses import dataclass
 
 import yaml
 
-from . import network, signals
+from . import analysis, network, signals
 from .errors import ConfigInvalid, DistDetectError
 
 
 @dataclass(frozen=True, eq=False)
-class ScenarioConfig:
-    model: signals.SignalModel
-    process: network.NetworkProcess
-    horizon: int
-    learning_rate: object      # "unit" | "theorem1" | float
-    delta: float
-    checkpoints: tuple
+class ScenarioConfig(analysis.Scenario):
     trials: int
     seed: int
     output_dir: str
@@ -95,13 +90,6 @@ def build_config(raw: dict) -> ScenarioConfig:
 def _build_config(raw: dict) -> ScenarioConfig:
     model = _build_model(raw["signal_model"])
     process = _build_process(raw["network"])
-    if process.n != model.n:
-        raise ConfigInvalid(
-            f"network has n={process.n} agents but signal model has n={model.n}"
-        )
-    if not network.check_expected_connectivity(process):
-        raise ConfigInvalid("network is not connected in expectation (A3 violated)")
-
     horizon = _whole(raw.get("horizon", 1), "horizon", 1)
     trials = _whole(raw.get("trials", 1), "trials", 1)
     seed = _whole(raw.get("seed", 0), "seed", 0)

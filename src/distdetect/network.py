@@ -206,10 +206,10 @@ def sigma2(w) -> float:
     return min(float(np.abs(eig).max()), 1.0)
 
 
-def check_expected_connectivity(p: NetworkProcess) -> bool:
+def check_expected_connectivity(w_bar) -> bool:
     """True iff the support graph of E[W] (off-diagonal entries > 1e-12) is connected."""
-    adj = expected_matrix(p) > POSITIVE_ENTRY_TOL
-    seen = new = np.arange(p.n) == 0
+    adj = np.asarray(w_bar) > POSITIVE_ENTRY_TOL
+    seen = new = np.arange(len(adj)) == 0
     while new.any():  # breadth-first from agent 0
         new = adj[new].any(axis=0) & ~seen
         seen = seen | new

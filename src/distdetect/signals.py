@@ -75,9 +75,6 @@ class SignalModel:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    n: int
-    m: int
-    log_bound: float
     equivalent_sets: tuple  # per-agent frozenset of state indices
     global_equivalent: frozenset
 
@@ -85,8 +82,8 @@ class ValidationReport:
 def validate_model(model) -> ValidationReport:
     """Check positivity, row normalization, n >= 2 and global identifiability.
 
-    Returns the computed bound B and the per-agent observational-equivalence
-    sets. Raises on any assumption violation.
+    Returns the per-agent and common observational-equivalence sets. Raises
+    on any assumption violation.
     """
     if len(model.agents) < 2:
         raise ValueError(f"need at least 2 agents, got {len(model.agents)}")
@@ -113,13 +110,7 @@ def validate_model(model) -> ValidationReport:
             f"states {sorted(common - {model.states.true_index})} are observationally "
             "equivalent to the true state for every agent"
         )
-    return ValidationReport(
-        n=len(model.agents),
-        m=m,
-        log_bound=log_bound_B(model),
-        equivalent_sets=equiv,
-        global_equivalent=common,
-    )
+    return ValidationReport(equivalent_sets=equiv, global_equivalent=common)
 
 
 def log_bound_B(model) -> float:

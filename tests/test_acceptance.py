@@ -123,11 +123,11 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_prop1_verification(ref_model, ref_process):
     start = time.monotonic()
-    sc = analysis.VerificationScenario(
+    sc = analysis.Scenario(
         model=ref_model, process=ref_process, delta=0.1,
-        horizon=300, checkpoint=300, eta_mode="unit",
+        horizon=300, checkpoints=(300,), learning_rate="unit",
     )
-    rep = analysis.monte_carlo_verify(sc, "prop1", R=500, base_seed=BASE_SEED)
+    [rep] = analysis.monte_carlo_verify(sc, "prop1", R=500, base_seed=BASE_SEED)
     elapsed = time.monotonic() - start
     threshold = 0.1 + 3 * math.sqrt(0.09 / 500)
     assert rep.violation_rate <= threshold, (
@@ -148,11 +148,11 @@ def test_criterion_4_theorem1_verification():
         network.metropolis_matrix(network.cycle_graph(8))
     )
     start = time.monotonic()
-    sc = analysis.VerificationScenario(
+    sc = analysis.Scenario(
         model=model, process=process, delta=0.1,
-        horizon=2000, checkpoint=2000, eta_mode="theorem1",
+        horizon=2000, checkpoints=(2000,), learning_rate="theorem1",
     )
-    rep = analysis.monte_carlo_verify(sc, "theorem1", R=300, base_seed=BASE_SEED)
+    [rep] = analysis.monte_carlo_verify(sc, "theorem1", R=300, base_seed=BASE_SEED)
     elapsed = time.monotonic() - start
     threshold = 0.1 + 3 * math.sqrt(0.09 / 300)
     assert rep.violation_rate <= threshold, (

@@ -117,6 +117,16 @@ class TestProp1Bound:
         with pytest.raises(DegenerateInputs):
             analysis.prop1_log_tv_bound(B=1, I=0.1, m=2, n=2, delta=0.1, sigma2_w=0.0, t=0)
 
+    def test_potential_gap_terms_scale_with_eta(self):
+        # log TV <= log m + eta * (bound on the potential gap)
+        args = dict(B=1.6, I=0.05, m=3, n=4, delta=0.1, sigma2_w=0.75, t=300)
+        unit = analysis.prop1_log_tv_bound(**args)
+        half = analysis.prop1_log_tv_bound(**args, eta=0.5)
+        for name in ("rate", "fluctuation", "network"):
+            assert half.terms[name] == 0.5 * unit.terms[name]
+        assert half.terms["log_m"] == unit.terms["log_m"] == math.log(3)
+        assert half.inputs == unit.inputs
+
 
 class TestRateSlope:
     def test_exact_exponential(self):
@@ -140,66 +150,65 @@ class TestRateSlope:
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self, reference_model, reference_process):
-        sc = analysis.VerificationScenario(
+        sc = analysis.Scenario(
             model=reference_model, process=reference_process,
-            delta=0.1, horizon=50, checkpoint=50, eta_mode="unit",
+            delta=0.1, horizon=50, checkpoints=(50,), learning_rate="unit",
         )
-        a = analysis.monte_carlo_verify(sc, "prop1", R=20, base_seed=5)
-        b = analysis.monte_carlo_verify(sc, "prop1", R=20, base_seed=5)
+        [a] = analysis.monte_carlo_verify(sc, "prop1", R=20, base_seed=5)
+        [b] = analysis.monte_carlo_verify(sc, "prop1", R=20, base_seed=5)
         assert a.violations == b.violations
         assert a.violation_rate == b.violation_rate
 
     def test_huge_delta_trivially_passes(self, reference_model, reference_process):
-        sc = analysis.VerificationScenario(
+        sc = analysis.Scenario(
             model=reference_model, process=reference_process,
-            delta=0.99, horizon=30, checkpoint=30, eta_mode="unit",
+            delta=0.99, horizon=30, checkpoints=(30,), learning_rate="unit",
         )
-        rep = analysis.monte_carlo_verify(sc, "prop1", R=20, base_seed=6)
+        [rep] = analysis.monte_carlo_verify(sc, "prop1", R=20, base_seed=6)
         assert rep.verdict == "pass"
 
     def test_rate_equals_violations_over_trials(self, reference_model, reference_process):
-        sc = analysis.VerificationScenario(
+        sc = analysis.Scenario(
             model=reference_model, process=reference_process,
-            delta=0.1, horizon=30, checkpoint=30, eta_mode="unit",
+            delta=0.1, horizon=30, checkpoints=(30,), learning_rate="unit",
         )
-        rep = analysis.monte_carlo_verify(sc, "prop1", R=25, base_seed=7)
+        [rep] = analysis.monte_carlo_verify(sc, "prop1", R=25, base_seed=7)
         assert rep.violation_rate == rep.violations / 25
 
     def test_disconnected_process_rejected(self, reference_model):
-        sc = analysis.VerificationScenario(
-            model=reference_model, process=network.fixed_process(np.eye(4)),
-            delta=0.1, horizon=30, checkpoint=30, eta_mode="unit",
-        )
         with pytest.raises(InvalidScenario):
-            analysis.monte_carlo_verify(sc, "prop1", R=5, base_seed=8)
+            analysis.Scenario(
+                model=reference_model, process=network.fixed_process(np.eye(4)),
+                delta=0.1, horizon=30, checkpoints=(30,), learning_rate="unit",
+            )
 
     def test_trial_prefix_stability(self, reference_model, reference_process):
-        sc = analysis.VerificationScenario(
+        sc = analysis.Scenario(
             model=reference_model, process=reference_process,
-            delta=0.1, horizon=30, checkpoint=30, eta_mode="unit",
+            delta=0.1, horizon=30, checkpoints=(30,), learning_rate="unit",
         )
         first = analysis.prop1_statistics(sc, 1.0, 9, range(5))
         again = analysis.prop1_statistics(sc, 1.0, 9, range(10))
         assert first.tolist() == again[:5].tolist()
 
     def test_nonfinite_statistic_fails_closed(self, reference_model, reference_process):
-        sc = analysis.VerificationScenario(
+        sc = analysis.Scenario(
             model=reference_model, process=reference_process,
-            delta=0.99, horizon=30, checkpoint=30, eta_mode=math.nan,
+            delta=0.99, horizon=30, checkpoints=(30,), learning_rate=math.nan,
         )
         for which in ("prop1", "theorem1"):
-            rep = analysis.monte_carlo_verify(sc, which, R=4, base_seed=10)
+            [rep] = analysis.monte_carlo_verify(sc, which, R=4, base_seed=10)
             assert rep.verdict == "fail"
             assert rep.violations == 4
             assert rep.trial_stats["nonfinite_statistics"] == 4
 
     def test_log_zero_tv_is_not_a_failure(self, reference_model, reference_process):
         # at eta = 200 every belief is a point mass by step 300: TV underflows to 0
-        sc = analysis.VerificationScenario(
+        sc = analysis.Scenario(
             model=reference_model, process=reference_process,
-            delta=0.1, horizon=300, checkpoint=300, eta_mode=200.0,
+            delta=0.1, horizon=300, checkpoints=(300,), learning_rate=200.0,
         )
-        rep = analysis.monte_carlo_verify(sc, "prop1", R=4, base_seed=11)
+        [rep] = analysis.monte_carlo_verify(sc, "prop1", R=4, base_seed=11)
         assert rep.trial_stats["max_statistic"] == -math.inf
         assert rep.trial_stats["nonfinite_statistics"] == 0
         assert rep.verdict == "pass"
@@ -235,13 +244,39 @@ class TestBatchedEngine:
                          "exp_gap_sum", "potential_gap"):
                 assert np.array_equal(getattr(alone, name), getattr(batch, name)[r]), name
         assert batch.max_potential_gap == batch.potential_gap.max()
-        sc = analysis.VerificationScenario(
+        sc = analysis.Scenario(
             model=reference_model, process=reference_process,
-            delta=0.1, horizon=150, checkpoint=150, eta_mode="unit",
+            delta=0.1, horizon=150, checkpoints=(150,), learning_rate="unit",
         )
         together = analysis.theorem1_statistics(sc, 1.0, 3, range(4))
         alone = [analysis.theorem1_statistics(sc, 1.0, 3, [r])[0] for r in range(4)]
         assert together.tolist() == alone
+
+    @pytest.mark.parametrize("kind", ["gossip", "fixed"])
+    def test_prop1_checkpoints_in_one_pass(self, reference_model, kind):
+        # mid-block, on the STEP_BLOCK = 64 boundary, just past it, and later
+        assert analysis.STEP_BLOCK == 64
+        g = network.cycle_graph(4)
+        process = (network.gossip_process(g) if kind == "gossip"
+                   else network.fixed_process(network.metropolis_matrix(g)))
+        checkpoints = (10, 64, 65, 150)
+
+        def scenario(ts):
+            return analysis.Scenario(model=reference_model, process=process, horizon=150,
+                                     learning_rate="unit", delta=0.1, checkpoints=ts)
+
+        together = analysis.prop1_statistics(scenario(checkpoints), 1.0, 4, range(5))
+        assert together.shape == (5, 4) and np.isfinite(together).all()
+        for c, t in enumerate(checkpoints):
+            alone = analysis.prop1_statistics(scenario((t,)), 1.0, 4, range(5))
+            assert np.array_equal(together[:, c], alone[:, 0]), t
+
+    def test_unreached_checkpoint_fails_closed(self, reference_model, reference_process):
+        sc = analysis.Scenario(model=reference_model, process=reference_process,
+                               horizon=30, learning_rate="unit", delta=0.1,
+                               checkpoints=(0, 30))
+        stats = analysis.prop1_statistics(sc, 1.0, 4, range(3))
+        assert np.isnan(stats[:, 0]).all() and np.isfinite(stats[:, 1]).all()
 
 
 @st.composite

@@ -13,7 +13,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from distdetect import analysis, cli, signals
+from distdetect import analysis, cli, network, signals
 from distdetect.config import config_digest, load_config
 from distdetect.errors import ConfigInvalid
 
@@ -182,6 +182,17 @@ class TestSimulateCommand:
             assert 0.0 <= tv <= 1.0
             assert float(row["kl_increment"]) >= 0.0
 
+    def test_tv_capped_at_one(self, tmp_path):
+        # at eta = 40 the true state's belief nears 0 early on, and the
+        # false-state sum can round an ulp above 1
+        path = write_config(tmp_path, {"learning_rate": 40})
+        assert cli.main(["simulate", str(path)]) == 0
+        with open(tmp_path / "out" / "trajectories.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert max(float(r["tv_error"]) for r in rows) <= 1.0
+        assert max(float(r["centralized_tv_error"]) for r in rows) <= 1.0
+        assert max(float(r["log_tv_error"]) for r in rows) <= 0.0
+
 
 class TestVerifyCommand:
     def test_smoke_prop1(self, tmp_path):
@@ -208,8 +219,8 @@ class TestVerifyCommand:
     def test_every_prop1_checkpoint_is_checked(self, tmp_path, monkeypatch):
         real = analysis.prop1_log_tv_bound
 
-        def broken_late(*args):  # a bound no statistic can meet, from t = 30 on
-            rep = real(*args)
+        def broken_late(*args, **kwargs):  # a bound no statistic can meet, from t = 30 on
+            rep = real(*args, **kwargs)
             return rep if args[-1] < 30 else analysis.BoundReport(-1e9, rep.terms, rep.inputs)
 
         monkeypatch.setattr(analysis, "prop1_log_tv_bound", broken_late)
@@ -221,6 +232,15 @@ class TestVerifyCommand:
             (10, "pass"), (40, "fail")]
         assert report["which"] == "prop1" and report["trials"] == 4
         assert math.isfinite(report["trial_stats"]["max_statistic"])
+
+    def test_prop1_at_theorem1_learning_rate_passes(self, tmp_path):
+        # eta is far below 1 here; the bound scales with eta as the beliefs do
+        path = next(p for p in SCENARIOS if p.stem == "theorem1_8cycle")
+        assert cli.main(["verify", str(path), "--which", "prop1", "--trials", "40",
+                         "--output-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_prop1.json").read_text())
+        assert report["violations"] == 0 and report["trial_stats"]["eta"] < 0.01
+        assert report["trial_stats"]["max_statistic"] < report["bound"]["total"]
 
     def test_theorem1_smoke(self, tmp_path):
         path = write_config(tmp_path, {"trials": 5, "learning_rate": "theorem1"})
@@ -271,6 +291,24 @@ class TestSpectralCommand:
             "network.matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
         })
         assert cli.main(["spectral", str(path)]) == 2  # rejected at config validation
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["spectral"], ["verify", "--which", "theorem1"],
+    ["verify", "--which", "prop1"],
+], ids=lambda c: c[-1])
+def test_scenario_checked_and_derived_once(tmp_path, monkeypatch, command):
+    calls = {}
+    for owner, name in ((network, "expected_matrix"), (network, "check_expected_connectivity"),
+                        (network, "sigma2"), (signals, "validate_model")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    path = write_config(tmp_path, {"checkpoints": [10, 40]})
+    assert cli.main([command[0], str(path), *command[1:]]) in (0, 1)
+    assert calls == {"expected_matrix": 1, "check_expected_connectivity": 1,
+                     "sigma2": 1, "validate_model": 1}
 
 
 def run_cli_process(args):

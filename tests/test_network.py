@@ -24,7 +24,7 @@ class TestMetropolis:
     def test_edgeless_is_identity(self):
         w = network.metropolis_matrix(network.Graph(3, frozenset()))
         np.testing.assert_array_equal(w, np.eye(3))
-        assert not network.check_expected_connectivity(network.fixed_process(w))
+        assert not network.check_expected_connectivity(w)
 
     def test_positive_diagonal(self):
         for g in (network.cycle_graph(5), network.star_graph(6), network.path_graph(4)):
@@ -165,7 +165,7 @@ class TestExpectedMatrix:
         w2 = network.pair_average_matrix(4, 2, 3)
         w3 = network.pair_average_matrix(4, 1, 2)
         p = network.finite_support_process([(w1, 0.4), (w2, 0.4), (w3, 0.2)])
-        assert network.check_expected_connectivity(p)
+        assert network.check_expected_connectivity(network.expected_matrix(p))
 
 
 class TestSigma2:
@@ -200,17 +200,17 @@ class TestSigma2:
 
 class TestConnectivity:
     def test_identity_disconnected(self):
-        assert not network.check_expected_connectivity(network.fixed_process(np.eye(3)))
+        assert not network.check_expected_connectivity(np.eye(3))
 
     def test_gossip_connected_base(self):
         assert network.check_expected_connectivity(
-            network.gossip_process(network.cycle_graph(6))
+            network.expected_matrix(network.gossip_process(network.cycle_graph(6)))
         )
 
     def test_connected_implies_subunit_sigma2(self):
         for g in (network.cycle_graph(5), network.star_graph(7)):
             p = network.gossip_process(g)
-            assert network.check_expected_connectivity(p)
+            assert network.check_expected_connectivity(network.expected_matrix(p))
             assert network.sigma2(network.expected_matrix(p)) < 1
 
 
