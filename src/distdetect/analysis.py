@@ -174,7 +174,11 @@ def simulate_trials(model, process, eta: float, horizon: int, base_seed: int,
     `diagnostics`; the largest potential gap is always reported.
     """
     R, n, true = len(trials), model.n, model.states.true_index
-    tv, kl = np.empty((R, horizon, n)), np.empty((R, horizon, n))
+    try:
+        tv, kl = np.empty((R, horizon, n)), np.empty((R, horizon, n))
+    except (ValueError, MemoryError) as exc:  # ValueError: beyond numpy's largest shape
+        raise DegenerateInputs(f"trials x horizon x n = {R} x {horizon} x {n} values "
+                               f"per series is too large to hold: {exc}") from exc
     ctv = np.empty((R, horizon))
     egs = np.empty((R, horizon, n)) if diagnostics else None
     pgap = np.empty((R, horizon)) if diagnostics else None

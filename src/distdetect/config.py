@@ -67,6 +67,17 @@ def _whole(value, name: str, minimum: int) -> int:
     return value
 
 
+def _finite(value, name: str) -> float:
+    """A finite int or float, as a float. YAML booleans are Python ints, but not numbers here."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigInvalid(f"{name} must be a finite number, got {value!r}")
+
+
 def load_config(path) -> ScenarioConfig:
     try:
         with open(path) as f:
@@ -93,16 +104,17 @@ def _build_config(raw: dict) -> ScenarioConfig:
     horizon = _whole(raw.get("horizon", 1), "horizon", 1)
     trials = _whole(raw.get("trials", 1), "trials", 1)
     seed = _whole(raw.get("seed", 0), "seed", 0)
-    delta = float(raw.get("delta", 0.1))
+    delta = _finite(raw.get("delta", 0.1), "delta")
     if not 0 < delta < 1:
         raise ConfigInvalid(f"delta must lie in (0, 1), got {delta}")
     lr = raw.get("learning_rate", "unit")
     if lr not in ("unit", "theorem1"):
-        lr = float(lr)
-        if not (math.isfinite(lr) and lr > 0):
-            raise ConfigInvalid(
-                f"learning_rate must be 'unit', 'theorem1' or a finite number > 0, got {lr!r}"
-            )
+        lr = _finite(lr, "learning_rate other than 'unit' or 'theorem1'")
+        if not lr > 0:
+            raise ConfigInvalid(f"learning_rate must be 'unit', 'theorem1' or > 0, got {lr!r}")
+    output_dir = raw.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigInvalid(f"output_dir must be a string, got {output_dir!r}")
     checkpoints = tuple(_whole(t, "checkpoints", 1) for t in raw.get("checkpoints", ()))
     for t in checkpoints:
         if t > horizon:
@@ -117,6 +129,6 @@ def _build_config(raw: dict) -> ScenarioConfig:
         checkpoints=checkpoints,
         trials=trials,
         seed=seed,
-        output_dir=str(raw.get("output_dir", "out")),
+        output_dir=output_dir,
         digest=config_digest(raw),
     )

@@ -216,18 +216,26 @@ def check_expected_connectivity(w_bar) -> bool:
     return bool(seen.all())
 
 
-def mixing_deviation_sum(w, i: int, t: int) -> float:
-    """sum_{tau=1}^{t} sum_j |[W^{t-tau}]_ij - 1/n|, computed by repeated row products."""
+def mixing_deviation_sum(w, t_values) -> np.ndarray:
+    """sum_{tau=1}^{t} sum_j |[W^{t-tau}]_ij - 1/n| for every t in t_values and agent i.
+
+    Returns a (len(t_values), n) array whose rows follow t_values, which may
+    come in any order and repeat. One pass of P <- P W up to max(t_values)
+    keeps a running per-agent sum, read off at each requested t.
+    """
+    t_values = np.array([operator.index(t) for t in t_values], dtype=np.int64)
+    if (t_values < 1).any():
+        raise DegenerateInputs(f"t must be >= 1, got {t_values.min()}")
     w = validate_mixing(w)
     n = w.shape[0]
-    if not 0 <= i < n:
-        raise DimensionMismatch(f"agent index {i} outside [0, {n})")
-    if t < 1:
-        raise DegenerateInputs(f"t must be >= 1, got {t}")
-    row = np.zeros(n)
-    row[i] = 1.0
-    total = 0.0
-    for _ in range(t):  # powers 0 .. t-1
-        total += float(np.abs(row - 1.0 / n).sum())
-        row = row @ w
-    return total
+    wanted, rows = np.unique(t_values, return_inverse=True)
+    snapshots = np.empty((len(wanted), n))
+    power, total, k = np.eye(n), np.zeros(n), 0
+    for t in range(1, int(wanted.max(initial=0)) + 1):
+        if t > 1:
+            power = power @ w
+        total += np.abs(power - 1.0 / n).sum(axis=1)  # adds power t-1
+        if t == wanted[k]:
+            snapshots[k] = total
+            k += 1
+    return snapshots[rows]

@@ -16,7 +16,6 @@ from .errors import (
     NotIdentifiable,
     ZeroLikelihoodEntry,
 )
-from .prob import kl_divergence
 
 ROW_SUM_TOL = 1e-12
 EQUIV_TOL = 1e-12  # per-entry tolerance for observational equivalence
@@ -126,15 +125,29 @@ def equivalent_states(model, agent: int):
     return set(np.flatnonzero(close).tolist())
 
 
-def pairwise_rate(model, k: int) -> float:
-    """Network-averaged KL rate I(theta_1, theta_k) = (1/n) sum_i D_KL(row_true || row_k)."""
+def pairwise_rates(model) -> np.ndarray:
+    """I(theta_1, theta_k) = (1/n) sum_i D_KL(row_true || row_k) for every state k.
+
+    Each agent's divergence is sum_s p log(p / q) over its row, clipped at 0
+    as rounding noise, and the agents are added in order; agents are stacked
+    by alphabet size, so one sweep covers all agents with the same size. The
+    entry at the true state is 0.
+    """
     true = model.states.true_index
-    if k == true:
-        raise ValueError("pairwise rate is defined for k != true state")
-    total = sum(
-        kl_divergence(a.table[true], a.table[k]) for a in model.agents
-    )
-    return total / len(model.agents)
+    kl = np.empty((model.n, model.m))
+    for size in {a.alphabet_size for a in model.agents}:
+        rows = [i for i, a in enumerate(model.agents) if a.alphabet_size == size]
+        tab = np.stack([model.agents[i].table for i in rows])  # (agents, m, size)
+        p = tab[:, [true]]
+        kl[rows] = np.maximum((p * np.log(p / tab)).sum(axis=2), 0.0)
+    return np.cumsum(kl, axis=0)[-1] / model.n  # cumsum adds in agent order
+
+
+def pairwise_rate(model, k: int) -> float:
+    """Network-averaged KL rate I(theta_1, theta_k) for a false state k."""
+    if k == model.states.true_index or not 0 <= k < model.m:
+        raise ValueError(f"pairwise rate is defined for a false state in [0, {model.m}), got {k}")
+    return float(pairwise_rates(model)[k])
 
 
 def second_state(model):
@@ -143,15 +156,10 @@ def second_state(model):
     Returns (state index, rate). This is the state whose signals look most
     like the true state's, hence the one that controls the convergence rate.
     """
-    true = model.states.true_index
-    best_k, best_rate = None, None
-    for k in range(model.states.m):
-        if k == true:
-            continue
-        r = pairwise_rate(model, k)
-        if best_rate is None or r < best_rate:
-            best_k, best_rate = k, r
-    return best_k, best_rate
+    rates = pairwise_rates(model)
+    rates[model.states.true_index] = np.inf
+    k = int(np.argmin(rates))
+    return k, float(rates[k])
 
 
 def sample_step(model, rng) -> np.ndarray:

@@ -311,6 +311,26 @@ def test_scenario_checked_and_derived_once(tmp_path, monkeypatch, command):
                      "sigma2": 1, "validate_model": 1}
 
 
+def test_spectral_validations_independent_of_n(tmp_path, monkeypatch):
+    # the mixing deviation of all agents and t values is one call, not one per agent
+    calls = []
+
+    def counted(w, _fn=network.validate_mixing):
+        calls.append(1)
+        return _fn(w)
+    monkeypatch.setattr(network, "validate_mixing", counted)
+    counts = []
+    for n in (8, 64):
+        calls.clear()
+        path = write_config(tmp_path, {
+            "signal_model.agents": [[[0.8, 0.2], [0.2, 0.8]]] + [[[0.5, 0.5]] * 2] * (n - 1),
+            "network.graph": {"n": n, "edges": [[i, (i + 1) % n] for i in range(n)]},
+        }, name=f"ring{n}.yaml")
+        assert cli.main(["spectral", str(path), "--t-values", "1", "5", "16"]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def run_cli_process(args):
     """Run the CLI in a fresh interpreter, as a user would, and capture its output."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -333,6 +353,12 @@ def run_cli_process(args):
     ("missing", [], "missing.yaml"),
     ("malformed", [], "malformed.yaml"),
     ({"signal_model.agents": []}, [], "IndexError"),
+    ({"learning_rate": True}, [], "learning_rate"),
+    ({"delta": True}, [], "delta must be a finite number, got True"),
+    ({"output_dir": [1, 2]}, [], "output_dir"),
+    ({"output_dir": {"a": 1}}, [], "output_dir"),
+    ({"output_dir": False}, [], "output_dir"),
+    ({"output_dir": None}, [], "output_dir"),
 ])
 def test_invalid_input_exits_2_without_traceback(tmp_path, overrides, flags, field):
     if overrides == "missing":
@@ -345,6 +371,15 @@ def test_invalid_input_exits_2_without_traceback(tmp_path, overrides, flags, fie
     res = run_cli_process(["verify", str(path), "--which", "prop1", *flags])
     assert res.returncode == 2, res.stderr
     assert field in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_oversized_simulate_exits_2(tmp_path):
+    # numpy refuses this shape outright, so nothing is allocated
+    path = write_config(tmp_path, {"horizon": 10**30})
+    res = run_cli_process(["simulate", str(path)])
+    assert res.returncode == 2, res.stderr
+    assert "trials x horizon x n" in res.stderr
     assert "Traceback" not in res.stderr
 
 

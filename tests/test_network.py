@@ -3,9 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distdetect import network
-from distdetect.errors import DimensionMismatch, IsolatedAgent
+from distdetect.errors import DegenerateInputs, IsolatedAgent
 
 
 class TestMetropolis:
@@ -214,23 +215,65 @@ class TestConnectivity:
             assert network.sigma2(network.expected_matrix(p)) < 1
 
 
+def row_deviation_oracle(w, i, t):
+    """sum_{tau=1}^{t} sum_j |[W^{t-tau}]_ij - 1/n| for one agent, by repeated row products."""
+    n = w.shape[0]
+    row = np.zeros(n)
+    row[i] = 1.0
+    total = 0.0
+    for _ in range(t):  # powers 0 .. t-1
+        total += float(np.abs(row - 1.0 / n).sum())
+        row = row @ w
+    return total
+
+
+@st.composite
+def deviation_cases(draw):
+    """E[W] of a random connected graph, a t list (unsorted, with a repeat), two agents."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = {(i, i + 1) for i in range(n - 1)}  # a spanning path keeps it connected
+    edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.15}
+    g = network.Graph(n, frozenset(edges))
+    if draw(st.booleans()):
+        w = network.metropolis_matrix(g)
+    else:
+        w = network.expected_matrix(network.gossip_process(g))
+    ts = draw(st.lists(st.integers(1, 3000), min_size=1, max_size=3))
+    ts = draw(st.permutations(ts + [draw(st.sampled_from(ts))]))
+    agents = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    return w, ts, agents
+
+
 class TestMixingDeviation:
     def test_uniform_projector(self):
         w = np.full((4, 4), 0.25)
         # only the power-zero term survives: sum_j |I_ij - 1/n| = 2(n-1)/n
-        for t in (1, 2, 10):
-            assert network.mixing_deviation_sum(w, 0, t) == pytest.approx(1.5)
+        assert network.mixing_deviation_sum(w, [1, 2, 10]) == pytest.approx(1.5)
 
     def test_t_equals_one(self, path3_matrix):
-        assert network.mixing_deviation_sum(path3_matrix, 1, 1) == pytest.approx(4 / 3)
+        assert network.mixing_deviation_sum(path3_matrix, [1])[0, 1] == pytest.approx(4 / 3)
 
     def test_nondecreasing_in_t(self, path3_matrix):
-        vals = [network.mixing_deviation_sum(path3_matrix, 0, t) for t in range(1, 30)]
+        vals = network.mixing_deviation_sum(path3_matrix, range(1, 30))[:, 0]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_bad_agent_index(self, path3_matrix):
-        with pytest.raises(DimensionMismatch):
-            network.mixing_deviation_sum(path3_matrix, 5, 3)
+    def test_t_zero_rejected(self, path3_matrix):
+        with pytest.raises(DegenerateInputs):
+            network.mixing_deviation_sum(path3_matrix, [3, 0])
+
+    def test_empty_t_list(self, path3_matrix):
+        assert network.mixing_deviation_sum(path3_matrix, []).shape == (0, 3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(deviation_cases())
+    def test_matches_row_oracle(self, case):
+        w, ts, agents = case
+        got = network.mixing_deviation_sum(w, ts)
+        assert got.shape == (len(ts), w.shape[0])
+        for r, t in enumerate(ts):
+            for i in agents:
+                assert got[r, i] == pytest.approx(row_deviation_oracle(w, i, t), rel=1e-9)
 
 
 def test_product_of_draws_stays_doubly_stochastic():

@@ -84,6 +84,12 @@ class TestPairwiseRate:
         for k in (1, 2):
             assert signals.pairwise_rate(reference_model, k) > 0
 
+    def test_only_false_states(self, reference_model):
+        # -3 would index the true state's row from the end
+        for k in (0, -3, -1, 3):
+            with pytest.raises(ValueError):
+                signals.pairwise_rate(reference_model, k)
+
 
 class TestSecondState:
     def test_binary_is_the_other_state(self, two_agent_model):
