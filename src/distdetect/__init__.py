@@ -1,5 +1,3 @@
 """Finite-time distributed detection: belief updates, mixing networks, bounds."""
 
-from . import analysis, config, detection, errors, network, prob, signals
-
 __all__ = ["analysis", "config", "detection", "errors", "network", "prob", "signals"]

@@ -9,6 +9,7 @@ delta plus three standard errors.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,8 @@ BLOCK_ELEMENTS = 1 << 15   # bound on trials x STEP_BLOCK x n x m held per block
 def potential_blocks(model, process, horizon: int, base_seed: int, trials):
     """Advance the given trials together and yield their potentials block by block.
 
-    Yields (rows, t0, dec, cen) for consecutive blocks of at most STEP_BLOCK
+    `trials` is a sequence of trial indices, such as a range. Yields
+    (rows, t0, dec, cen) for consecutive blocks of at most STEP_BLOCK
     steps: `rows` is the slice of `trials` being advanced, dec the
     (K, len(rows), n, m) decentralized potentials after steps t0+1 .. t0+K,
     and cen the (K, len(rows), m) centralized ones. Trials run in groups
@@ -102,7 +104,6 @@ def potential_blocks(model, process, horizon: int, base_seed: int, trials):
     k = process.uniforms
     cdf, logtab = signals.padded_tables(model)
     agents = np.arange(n)
-    trials = list(trials)
     group = max(1, BLOCK_ELEMENTS // (STEP_BLOCK * n * m))
     for g0 in range(0, len(trials), group):
         rngs = [trial_rng(base_seed, r) for r in trials[g0:g0 + group]]
@@ -166,6 +167,26 @@ def _tv_error(mu, true: int):
     return np.minimum(_false_mass(mu, true), 1.0)
 
 
+def _per_trial(trials, axes: dict, fill=None) -> np.ndarray:
+    """A float array of shape (len(trials), *axes.values()), filled with `fill` if given.
+
+    Raises DegenerateInputs naming the trial count and the named axes when
+    the array cannot be held.
+    """
+    try:
+        R = len(trials)
+    except OverflowError as exc:  # a range longer than a C size
+        raise DegenerateInputs(
+            f"{trials!r} has more than {sys.maxsize} trials, too many to hold") from exc
+    shape = (R, *axes.values())
+    try:
+        return np.empty(shape) if fill is None else np.full(shape, fill)
+    except (ValueError, MemoryError) as exc:  # ValueError: beyond numpy's largest shape
+        raise DegenerateInputs(
+            f"an array of trials x {' x '.join(axes)} = {' x '.join(map(str, shape))} "
+            f"values is too large to hold: {exc}") from exc
+
+
 def simulate_trials(model, process, eta: float, horizon: int, base_seed: int,
                     trials, diagnostics: bool = False) -> TrialBatch:
     """Run both engines on common signal streams for `horizon` steps per trial.
@@ -173,15 +194,12 @@ def simulate_trials(model, process, eta: float, horizon: int, base_seed: int,
     The per-step exp-gap sums and potential gaps are kept only with
     `diagnostics`; the largest potential gap is always reported.
     """
-    R, n, true = len(trials), model.n, model.states.true_index
-    try:
-        tv, kl = np.empty((R, horizon, n)), np.empty((R, horizon, n))
-    except (ValueError, MemoryError) as exc:  # ValueError: beyond numpy's largest shape
-        raise DegenerateInputs(f"trials x horizon x n = {R} x {horizon} x {n} values "
-                               f"per series is too large to hold: {exc}") from exc
-    ctv = np.empty((R, horizon))
-    egs = np.empty((R, horizon, n)) if diagnostics else None
-    pgap = np.empty((R, horizon)) if diagnostics else None
+    n, true = model.n, model.states.true_index
+    series, per_step = {"horizon": horizon, "n": n}, {"horizon": horizon}
+    tv, kl = _per_trial(trials, series), _per_trial(trials, series)
+    ctv = _per_trial(trials, per_step)
+    egs = _per_trial(trials, series) if diagnostics else None
+    pgap = _per_trial(trials, per_step) if diagnostics else None
     max_gap = 0.0
     for rows, t0, dec, cen in potential_blocks(model, process, horizon, base_seed, trials):
         steps = slice(t0, t0 + len(dec))
@@ -316,7 +334,7 @@ def bound_inputs(sc: Scenario):
 
 def theorem1_statistics(sc: Scenario, eta, base_seed, trials) -> np.ndarray:
     """Per trial, the largest cumulative KL cost over agents at horizon T."""
-    cost = np.zeros((len(trials), sc.model.n))
+    cost = _per_trial(trials, {"n": sc.model.n}, fill=0.0)
     for rows, _, dec, cen in potential_blocks(
             sc.model, sc.process, sc.horizon, base_seed, trials):
         cost[rows] += _kl_to_centralized(dec, cen, eta)[0].sum(axis=0)
@@ -326,7 +344,8 @@ def theorem1_statistics(sc: Scenario, eta, base_seed, trials) -> np.ndarray:
 def prop1_statistics(sc: Scenario, eta, base_seed, trials) -> np.ndarray:
     """Per trial and checkpoint, the largest log TV error over agents: (R, C)."""
     true = sc.model.states.true_index
-    stats = np.full((len(trials), len(sc.checkpoints)), np.nan)  # unreached fails closed
+    # NaN until its checkpoint is reached, so an unreached one fails closed
+    stats = _per_trial(trials, {"checkpoints": len(sc.checkpoints)}, fill=np.nan)
     for rows, t0, dec, _ in potential_blocks(
             sc.model, sc.process, max(sc.checkpoints), base_seed, trials):
         for c, t in enumerate(sc.checkpoints):

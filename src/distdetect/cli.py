@@ -9,6 +9,11 @@ and otherwise one, which picks the atom by inverse CDF. Then comes one signal
 uniform per agent. Enlarging the trial count therefore keeps earlier trials'
 outcomes as a prefix, and reruns with the same config and seed produce
 byte-identical output files.
+
+The command lets idle OpenBLAS worker threads sleep at once instead of
+busy-waiting after each threaded call: it sets OPENBLAS_THREAD_TIMEOUT=4
+unless the variable is already set. The thread count, and so every result,
+stays the same; an exported value overrides the default.
 """
 
 import argparse
@@ -16,6 +21,9 @@ import json
 import os
 import sys
 from dataclasses import asdict
+
+# read once when OpenBLAS loads, so before numpy: 4 is its shortest idle spin
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np
 

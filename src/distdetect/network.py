@@ -223,9 +223,12 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
     come in any order and repeat. One pass of P <- P W up to max(t_values)
     keeps a running per-agent sum, read off at each requested t.
     """
-    t_values = np.array([operator.index(t) for t in t_values], dtype=np.int64)
-    if (t_values < 1).any():
-        raise DegenerateInputs(f"t must be >= 1, got {t_values.min()}")
+    t_values = [operator.index(t) for t in t_values]
+    t_max = np.iinfo(np.int64).max
+    for t in t_values:
+        if not 1 <= t <= t_max:
+            raise DegenerateInputs(f"t must lie in [1, {t_max}], got {t}")
+    t_values = np.array(t_values, dtype=np.int64)
     w = validate_mixing(w)
     n = w.shape[0]
     wanted, rows = np.unique(t_values, return_inverse=True)

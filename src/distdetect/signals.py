@@ -72,17 +72,10 @@ class SignalModel:
         return self.states.m
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    equivalent_sets: tuple  # per-agent frozenset of state indices
-    global_equivalent: frozenset
-
-
-def validate_model(model) -> ValidationReport:
+def validate_model(model) -> None:
     """Check positivity, row normalization, n >= 2 and global identifiability.
 
-    Returns the per-agent and common observational-equivalence sets. Raises
-    on any assumption violation.
+    Raises on any assumption violation.
     """
     if len(model.agents) < 2:
         raise ValueError(f"need at least 2 agents, got {len(model.agents)}")
@@ -102,14 +95,12 @@ def validate_model(model) -> ValidationReport:
         if np.any(bad):
             raise BadRowSum(f"agent {i} rows {np.flatnonzero(bad).tolist()} sum to {sums[bad]}")
 
-    equiv = tuple(frozenset(equivalent_states(model, i)) for i in range(len(model.agents)))
-    common = frozenset.intersection(*equiv)
+    common = set.intersection(*(equivalent_states(model, i) for i in range(len(model.agents))))
     if common != {model.states.true_index}:
         raise NotIdentifiable(
             f"states {sorted(common - {model.states.true_index})} are observationally "
             "equivalent to the true state for every agent"
         )
-    return ValidationReport(equivalent_sets=equiv, global_equivalent=common)
 
 
 def log_bound_B(model) -> float:

@@ -271,12 +271,18 @@ class TestSpectralCommand:
         assert 0.0 < doc["sigma2"] < 1.0
         assert len(doc["mixing_deviation"]) == 2
 
-    def test_bad_t_values_exit_2(self, tmp_path):
+    def test_bad_t_values_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert cli.main(["spectral", str(path), "--t-values", "3", "0"]) == 2
         with pytest.raises(SystemExit) as exc:
             cli.main(["spectral", str(path), "--t-values", "ten"])
         assert exc.value.code == 2
+        capsys.readouterr()
+        # beyond int64: rejected by value before any work
+        big = "99999999999999999999999"
+        assert cli.main(["spectral", str(path), "--t-values", "5", big]) == 2
+        assert big in capsys.readouterr().err
+        assert not (tmp_path / "out" / "spectral.json").exists()
 
     def test_unusable_output_dir_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -311,6 +317,14 @@ def test_scenario_checked_and_derived_once(tmp_path, monkeypatch, command):
                      "sigma2": 1, "validate_model": 1}
 
 
+def ring_config(tmp_path, n):
+    """A gossip ring of n agents where only agent 0 is informative."""
+    return write_config(tmp_path, {
+        "signal_model.agents": [[[0.8, 0.2], [0.2, 0.8]]] + [[[0.5, 0.5]] * 2] * (n - 1),
+        "network.graph": {"n": n, "edges": [[i, (i + 1) % n] for i in range(n)]},
+    }, name=f"ring{n}.yaml")
+
+
 def test_spectral_validations_independent_of_n(tmp_path, monkeypatch):
     # the mixing deviation of all agents and t values is one call, not one per agent
     calls = []
@@ -322,22 +336,66 @@ def test_spectral_validations_independent_of_n(tmp_path, monkeypatch):
     counts = []
     for n in (8, 64):
         calls.clear()
-        path = write_config(tmp_path, {
-            "signal_model.agents": [[[0.8, 0.2], [0.2, 0.8]]] + [[[0.5, 0.5]] * 2] * (n - 1),
-            "network.graph": {"n": n, "edges": [[i, (i + 1) % n] for i in range(n)]},
-        }, name=f"ring{n}.yaml")
+        path = ring_config(tmp_path, n)
         assert cli.main(["spectral", str(path), "--t-values", "1", "5", "16"]) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
 
-def run_cli_process(args):
-    """Run the CLI in a fresh interpreter, as a user would, and capture its output."""
+def run_python(args, **env):
+    """Run a fresh interpreter with the package on its path and capture its output.
+
+    Keyword arguments set environment variables; a value of None unsets one.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "distdetect.cli", *args],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={k: v for k, v in env.items() if v is not None})
+
+
+def run_cli_process(args, **env):
+    """Run the CLI in a fresh interpreter, as a user would, and capture its output."""
+    return run_python(["-m", "distdetect.cli", *args], **env)
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # so importing the library cannot run ahead of the CLI's OpenBLAS setting
+    res = run_python(["-c", "import sys, distdetect; print('numpy' in sys.modules)"])
+    assert res.stdout.split() == ["False"], res.stderr
+
+
+# prints OPENBLAS_THREAD_TIMEOUT as it is when numpy, and so OpenBLAS, first loads
+NUMPY_LOAD_SPY = """
+import os, sys
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, Spy())
+import distdetect.cli
+"""
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "4"), ("28", "28")])
+def test_thread_timeout_set_before_numpy_loads(preset, seen):
+    res = run_python(["-c", NUMPY_LOAD_SPY], OPENBLAS_THREAD_TIMEOUT=preset)
+    assert res.stdout.split() == [seen], res.stderr
+
+
+def test_artifacts_independent_of_thread_timeout(tmp_path):
+    # unset (the CLI's 4) against OpenBLAS's own default of 28: same threads, same bytes
+    path = ring_config(tmp_path, 64)
+    artifacts = []
+    for preset in (None, "28"):
+        out = tmp_path / f"out-{preset}"
+        for command in (["spectral"], ["verify", "--which", "prop1"]):
+            res = run_cli_process([command[0], str(path), *command[1:], "--output-dir",
+                                   str(out)], OPENBLAS_THREAD_TIMEOUT=preset)
+            assert res.returncode in (0, 1), res.stderr
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(artifacts[0]) == ["spectral.json", "verify_prop1.json"]
+    assert artifacts[0] == artifacts[1]
 
 
 @pytest.mark.parametrize("overrides, flags, field", [
@@ -380,6 +438,19 @@ def test_oversized_simulate_exits_2(tmp_path):
     res = run_cli_process(["simulate", str(path)])
     assert res.returncode == 2, res.stderr
     assert "trials x horizon x n" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("trials", [10**30, 2**62], ids=["beyond-C-size", "beyond-numpy"])
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["verify", "--which", "theorem1"], ["verify", "--which", "prop1"],
+], ids=lambda c: c[-1])
+def test_oversized_trial_count_exits_2(tmp_path, command, trials):
+    # both counts are refused before anything is allocated
+    path = write_config(tmp_path)
+    res = run_cli_process([command[0], str(path), *command[1:], "--trials", str(trials)])
+    assert res.returncode == 2, res.stderr
+    assert "trials" in res.stderr
     assert "Traceback" not in res.stderr
 
 

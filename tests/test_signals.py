@@ -13,10 +13,11 @@ from conftest import INFORMATIVE, UNINFORMATIVE_2, make_model
 class TestValidation:
     def test_valid_model_equivalence_sets(self, two_agent_model):
         # swap roles: agent 0 informative => its set is {true}; agent 1 sees everything alike
-        rep = signals.validate_model(two_agent_model)
-        assert rep.equivalent_sets[0] == {0}
-        assert rep.equivalent_sets[1] == {0, 1}
-        assert rep.global_equivalent == {0}
+        assert signals.validate_model(two_agent_model) is None
+        equiv = [signals.equivalent_states(two_agent_model, i) for i in range(2)]
+        assert equiv[0] == {0}
+        assert equiv[1] == {0, 1}
+        assert set.intersection(*equiv) == {0}
 
     def test_uninformative_pair_not_identifiable(self):
         with pytest.raises(NotIdentifiable):
