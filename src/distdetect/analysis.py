@@ -115,11 +115,8 @@ def potential_blocks(model, process, horizon: int, base_seed: int, trials):
             u = np.stack([g.random((steps, k + n)) for g in rngs], axis=1)
             symbols = sum(_columns(cdf <= u[..., k:, None]))
             psi = logtab[agents, symbols]
-            dec = np.empty_like(psi)
-            for s in range(steps):
-                phi = process.mix(phi, u[s, :, :k])
-                phi += psi[s]
-                dec[s] = phi
+            dec = process.advance(phi, u[..., :k], psi, np.empty_like(psi))
+            phi = dec[-1]
             # accumulate from the carried value so sums run in step order
             cen = np.cumsum(np.concatenate([cen, psi.mean(axis=2)]), axis=0)[1:]
             yield rows, t0, dec, cen

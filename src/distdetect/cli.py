@@ -33,7 +33,8 @@ from .errors import ConfigInvalid, DistDetectError
 
 
 CSV_HEADER = "trial,t,agent,tv_error,log_tv_error,kl_increment,centralized_tv_error\r\n"
-CSV_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\r\n"
+CSV_ROW = "%d,%d,%d,%.17g,%.17g,%.17g,%s"  # the last field: CSV_CENTRALIZED
+CSV_CENTRALIZED = "%.17g\r\n"  # formatted once per (trial, step), not once per agent
 CSV_CHUNK = 8192  # rows formatted at a time, which bounds the text held in memory
 
 
@@ -44,11 +45,16 @@ def _resolve(cfg, args):
     seed = args.seed if args.seed is not None else cfg.seed
     trials = args.trials if args.trials is not None else cfg.trials
     outdir = args.output_dir if args.output_dir is not None else cfg.output_dir
+    return seed, trials, outdir
+
+
+def _artifact(outdir, name, newline=None):
+    """Open outdir/name for writing, making outdir only now: a failed run leaves none."""
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise ConfigInvalid(f"cannot create output directory {outdir!r}: {exc}") from exc
-    return seed, trials, outdir
+    return open(os.path.join(outdir, name), "w", newline=newline)
 
 
 def cmd_simulate(cfg, args) -> int:
@@ -57,19 +63,22 @@ def cmd_simulate(cfg, args) -> int:
     batch = analysis.simulate_trials(cfg.model, cfg.process, eta, cfg.horizon,
                                      seed, range(trials))
 
-    csv_path = os.path.join(outdir, "trajectories.csv")
     with np.errstate(divide="ignore"):
         log_tv = np.log(batch.tv_error)
     T, n = cfg.horizon, cfg.model.n
     rows = trials * T * n
     per_agent = (batch.tv_error.ravel(), log_tv.ravel(), batch.kl_increment.ravel())
-    with open(csv_path, "w", newline="") as f:
-        f.write(CSV_HEADER)
+    centralized = batch.centralized_tv.ravel()
+    with _artifact(outdir, "trajectories.csv", newline="") as table:
+        table.write(CSV_HEADER)
         for q0 in range(0, rows, CSV_CHUNK):
             q = np.arange(q0, min(q0 + CSV_CHUNK, rows))  # flat (trial, step, agent) index
+            s0 = q0 // n  # flat (trial, step) index of the chunk's first row
+            text = np.array([CSV_CENTRALIZED % v for v in
+                             centralized[s0:q[-1] // n + 1].tolist()], dtype=object)
             cols = (q // (T * n), q // n % T + 1, q % n, *(c[q] for c in per_agent),
-                    batch.centralized_tv.ravel()[q // n])
-            f.write("".join(CSV_ROW % row for row in zip(*(c.tolist() for c in cols))))
+                    text[q // n - s0])
+            table.write("".join(CSV_ROW % row for row in zip(*(c.tolist() for c in cols))))
 
     final_tv = batch.tv_error[:, -1]
     costs = batch.kl_increment.sum(axis=1)
@@ -93,10 +102,10 @@ def cmd_simulate(cfg, args) -> int:
         "total_cost_max": float(costs.max()),
         "max_potential_gap": batch.max_potential_gap,
     }
-    with open(os.path.join(outdir, "summary.json"), "w") as f:
+    with _artifact(outdir, "summary.json") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"wrote {csv_path} and summary.json (final TV max {summary['final_tv_max']:.3e})")
+    print(f"wrote {table.name} and summary.json (final TV max {summary['final_tv_max']:.3e})")
     return 0
 
 
@@ -121,8 +130,7 @@ def cmd_verify(cfg, args) -> int:
     doc = next((d for d in docs if d["verdict"] == "fail"), docs[-1])
     if len(docs) > 1:
         doc = dict(doc, per_checkpoint=docs)
-    path = os.path.join(outdir, f"verify_{which}.json")
-    with open(path, "w") as f:
+    with _artifact(outdir, f"verify_{which}.json") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
     return 0 if doc["verdict"] == "pass" else 1
@@ -143,8 +151,7 @@ def cmd_spectral(cfg, args) -> int:
             {"t": t, "per_agent": row} for t, row in zip(t_values, deviation.tolist())
         ],
     }
-    path = os.path.join(outdir, "spectral.json")
-    with open(path, "w") as f:
+    with _artifact(outdir, "spectral.json") as f:
         # one compact line: with indent, json falls back to its pure-Python
         # encoder over all n^2 entries of E[W]
         f.write(json.dumps(doc, sort_keys=True) + "\n")

@@ -58,12 +58,13 @@ def _build_process(spec: dict) -> network.NetworkProcess:
     return network.fixed_process(network.metropolis_matrix(graph))
 
 
-def _whole(value, name: str, minimum: int) -> int:
-    """A whole number >= minimum; floats are accepted only when integral."""
+def _whole(value, name: str, minimum: int, maximum=math.inf) -> int:
+    """A whole number in [minimum, maximum]; floats are accepted only when integral."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigInvalid(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= maximum:
+        raise ConfigInvalid(
+            f"{name} must be a whole number in [{minimum}, {maximum}], got {value!r}")
     return value
 
 
@@ -101,7 +102,7 @@ def build_config(raw: dict) -> ScenarioConfig:
 def _build_config(raw: dict) -> ScenarioConfig:
     model = _build_model(raw["signal_model"])
     process = _build_process(raw["network"])
-    horizon = _whole(raw.get("horizon", 1), "horizon", 1)
+    horizon = _whole(raw.get("horizon", 1), "horizon", 1, network.T_MAX)
     trials = _whole(raw.get("trials", 1), "trials", 1)
     seed = _whole(raw.get("seed", 0), "seed", 0)
     delta = _finite(raw.get("delta", 0.1), "delta")

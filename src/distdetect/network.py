@@ -15,6 +15,7 @@ from .errors import DegenerateInputs, DimensionMismatch, IsolatedAgent
 
 MATRIX_TOL = 1e-12
 POSITIVE_ENTRY_TOL = 1e-12  # threshold for "edge present" in connectivity checks
+T_MAX = 2**63 - 1  # the largest step t, which int64 step counts can hold
 
 
 def validate_mixing(entries) -> np.ndarray:
@@ -108,20 +109,32 @@ class NetworkProcess:
             return self.atoms[a]
         return pair_average_matrix(self.n, *self.atoms[a])
 
-    def mix(self, phi, u):
-        """W(t) phi for (R, n, m) potentials, trial r's atom picked by u[r].
+    def advance(self, phi, u, psi, out):
+        """Fill and return out[s] = W(t0+s) out[s-1] + psi[s], starting from out[-1] = phi.
 
-        Pair atoms are averaged in place, without building an n x n matrix.
+        A block of steps: psi is (steps, R, n, m), u (steps, R, uniforms) and
+        phi (R, n, m), left unchanged. Atoms are picked once per block; pair
+        atoms are averaged on a copy of phi, without an n x n matrix.
         """
-        a = self._pick(u)
+        steps, R, n, m = psi.shape
+        a = np.broadcast_to(self._pick(u), (steps, R))
         if self.atoms.ndim == 3:
-            return np.matmul(self.atoms[a], phi)
-        i, j = self.atoms[a].T
-        trial = np.arange(len(phi))
-        avg = 0.5 * phi[trial, i] + 0.5 * phi[trial, j]
-        phi[trial, i] = avg
-        phi[trial, j] = avg
-        return phi
+            fixed = self.atoms[0] if len(self.probs) == 1 else None
+            for s in range(steps):
+                w = self.atoms[a[s]] if fixed is None else fixed
+                np.matmul(w, out[s - 1] if s else phi, out=out[s])
+                out[s] += psi[s]
+            return out
+        # per step, a (2, R) index of rows r*n + i and r*n + j of the (R*n, m) view
+        pairs = np.moveaxis(self.atoms[a], -1, 1) + np.arange(R) * n
+        x = phi.reshape(R * n, m).copy()
+        x3 = x.reshape(R, n, m)  # the same memory
+        for s, rows in enumerate(pairs):
+            half_i, half_j = 0.5 * x[rows]
+            x[rows] = half_i + half_j  # both agents of a pair take 0.5 x_i + 0.5 x_j
+            x3 += psi[s]
+            out[s] = x3
+        return out
 
 
 def fixed_process(entries) -> NetworkProcess:
@@ -224,10 +237,9 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
     keeps a running per-agent sum, read off at each requested t.
     """
     t_values = [operator.index(t) for t in t_values]
-    t_max = np.iinfo(np.int64).max
     for t in t_values:
-        if not 1 <= t <= t_max:
-            raise DegenerateInputs(f"t must lie in [1, {t_max}], got {t}")
+        if not 1 <= t <= T_MAX:
+            raise DegenerateInputs(f"t must lie in [1, {T_MAX}], got {t}")
     t_values = np.array(t_values, dtype=np.int64)
     w = validate_mixing(w)
     n = w.shape[0]

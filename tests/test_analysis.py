@@ -252,6 +252,22 @@ class TestBatchedEngine:
         alone = [analysis.theorem1_statistics(sc, 1.0, 3, [r])[0] for r in range(4)]
         assert together.tolist() == alone
 
+    @pytest.mark.parametrize("block_elements, groups", [(analysis.BLOCK_ELEMENTS, 1), (1, 4)])
+    def test_network_advanced_once_per_block(
+            self, reference_model, reference_process, monkeypatch, block_elements, groups):
+        # one advance call per block of STEP_BLOCK steps of each trial group,
+        # never one per step
+        monkeypatch.setattr(analysis, "BLOCK_ELEMENTS", block_elements)
+        calls = []
+
+        def counted(self, *args, _advance=network.NetworkProcess.advance):
+            calls.append(len(args[2]))
+            return _advance(self, *args)
+        monkeypatch.setattr(network.NetworkProcess, "advance", counted)
+        analysis.simulate_trials(reference_model, reference_process, 1.0, 130, 3, range(4))
+        assert math.ceil(130 / analysis.STEP_BLOCK) == 3
+        assert calls == [64, 64, 2] * groups
+
     @pytest.mark.parametrize("kind", ["gossip", "fixed"])
     def test_prop1_checkpoints_in_one_pass(self, reference_model, kind):
         # mid-block, on the STEP_BLOCK = 64 boundary, just past it, and later

@@ -64,6 +64,10 @@ class TestConfigLoading:
         assert cfg.process.probs.tolist() == [0.25] * 4
         assert cfg.checkpoints == (40,)
 
+    def test_largest_horizon_accepted(self, tmp_path):
+        # horizons above it exit 2 (test_invalid_input_exits_2_without_traceback)
+        assert load_config(write_config(tmp_path, {"horizon": 2**63 - 1})).horizon == 2**63 - 1
+
     def test_unidentifiable_model_rejected(self, tmp_path):
         uninf = [[[0.5, 0.5]] * 3] * 4
         path = write_config(tmp_path, {"signal_model.agents": uninf})
@@ -417,6 +421,9 @@ def test_artifacts_independent_of_thread_timeout(tmp_path):
     ({"output_dir": {"a": 1}}, [], "output_dir"),
     ({"output_dir": False}, [], "output_dir"),
     ({"output_dir": None}, [], "output_dir"),
+    ({"horizon": 10**30}, [], "horizon"),  # prop1 runs only to its checkpoint
+    ({"horizon": 2**63, "checkpoints": [1]}, [], "horizon"),
+    ({"checkpoints": [2**63]}, [], "checkpoint"),
 ])
 def test_invalid_input_exits_2_without_traceback(tmp_path, overrides, flags, field):
     if overrides == "missing":
@@ -433,8 +440,9 @@ def test_invalid_input_exits_2_without_traceback(tmp_path, overrides, flags, fie
 
 
 def test_oversized_simulate_exits_2(tmp_path):
-    # numpy refuses this shape outright, so nothing is allocated
-    path = write_config(tmp_path, {"horizon": 10**30})
+    # a horizon within [1, 2^63 - 1] whose shape numpy refuses outright, so
+    # nothing is allocated (a larger one is refused when the config loads)
+    path = write_config(tmp_path, {"horizon": 2**62})
     res = run_cli_process(["simulate", str(path)])
     assert res.returncode == 2, res.stderr
     assert "trials x horizon x n" in res.stderr
@@ -446,12 +454,15 @@ def test_oversized_simulate_exits_2(tmp_path):
     ["simulate"], ["verify", "--which", "theorem1"], ["verify", "--which", "prop1"],
 ], ids=lambda c: c[-1])
 def test_oversized_trial_count_exits_2(tmp_path, command, trials):
-    # both counts are refused before anything is allocated
+    # both counts are refused before anything is allocated or any directory made
     path = write_config(tmp_path)
-    res = run_cli_process([command[0], str(path), *command[1:], "--trials", str(trials)])
+    out = tmp_path / "new" / "out"
+    res = run_cli_process([command[0], str(path), *command[1:], "--trials", str(trials),
+                           "--output-dir", str(out)])
     assert res.returncode == 2, res.stderr
     assert "trials" in res.stderr
     assert "Traceback" not in res.stderr
+    assert not (tmp_path / "new").exists()
 
 
 def _node_paths(tree, path=()):

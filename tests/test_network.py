@@ -119,13 +119,46 @@ class TestAtoms:
             assert p.uniforms == 1
             assert rng.bit_generator.state == twin.bit_generator.state
 
-    def test_mix_picks_atom_by_inverse_cdf(self):
+    def test_advance_picks_atom_by_inverse_cdf(self):
         p = network.gossip_process(KITE)  # atoms (0,1) (0,2) (0,3) (0,4) (1,2)
         cdf = np.cumsum(p.probs)
         for u, pair in ((0.0, (0, 1)), (cdf[0], (0, 2)), (cdf[3] - 1e-12, (0, 4)),
                         (np.nextafter(1.0, 0.0), (1, 2))):
             want = network.pair_average_matrix(5, *pair)
-            assert np.array_equal(p.mix(np.eye(5)[None].copy(), np.array([[u]]))[0], want)
+            psi = np.zeros((1, 1, 5, 5))
+            got = p.advance(np.eye(5)[None], np.array([[[u]]]), psi, np.empty_like(psi))
+            assert np.array_equal(got[0, 0], want)
+
+    @pytest.mark.parametrize("process", [
+        network.gossip_process(KITE),
+        network.gossip_process(network.path_graph(2)),  # one edge: no uniform spent
+        network.fixed_process(network.metropolis_matrix(KITE)),
+        network.finite_support_process([
+            (network.metropolis_matrix(KITE), 0.2),
+            (network.pair_average_matrix(5, 1, 3), 0.3),
+            (network.metropolis_matrix(network.cycle_graph(5)), 0.5),
+        ]),
+    ], ids=["gossip", "single-edge", "fixed", "finite-support"])
+    def test_advance_matches_per_step_replay(self, process):
+        # a block of 70 steps for 3 trials, against W(t) x + psi[t] one trial
+        # and one step at a time with the picked atom's matrix
+        rng = np.random.default_rng(5)
+        steps, R, n, m = 70, 3, process.n, 2
+        phi = rng.normal(size=(R, n, m))
+        u = rng.random((steps, R, process.uniforms))
+        psi = rng.normal(size=(steps, R, n, m))
+        phi0 = phi.copy()
+        got = process.advance(phi, u, psi, np.empty_like(psi))
+        assert np.array_equal(phi, phi0)
+        want, x = np.empty_like(psi), phi.copy()
+        for s in range(steps):
+            for r in range(R):
+                a = process._pick(u[s, r])
+                w = (process.atoms[a] if process.atoms.ndim == 3
+                     else network.pair_average_matrix(n, *process.atoms[a]))
+                x[r] = w @ x[r] + psi[s, r]
+            want[s] = x
+        assert np.array_equal(got, want)
 
 
 class TestExpectedMatrix:
