@@ -15,38 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detection, network, signals
-from .errors import DegenerateInputs, InvalidScenario, UnderflowWindow
-
-
-@dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """Per-step diagnostics of one paired centralized/decentralized run.
-
-    Arrays are indexed by step-1 on the first axis (step t lives at index t-1).
-    """
-
-    tv_error: np.ndarray          # T x n, per-agent TV distance to the truth
-    kl_increment: np.ndarray      # T x n, D_KL(agent belief || centralized belief)
-    centralized_tv: np.ndarray    # T
-    exp_gap_sum: np.ndarray       # T x n, sum_{k != true} exp(phi_ik - phi_i,true)
-    potential_gap: np.ndarray     # T, max_k |avg_i phi_{i,t}(k) - phi_t(k)|
-    seed: tuple
-
-    @property
-    def horizon(self) -> int:
-        return self.tv_error.shape[0]
+from .errors import DegenerateInputs, InvalidScenario
 
 
 @dataclass(frozen=True, eq=False)
 class TrialBatch:
-    """Per-step diagnostics of R trials run together; arrays lead with the trial axis."""
+    """Per-step errors and costs of R trials run together; arrays lead with the trial axis."""
 
     tv_error: np.ndarray          # R x T x n
     kl_increment: np.ndarray      # R x T x n
     centralized_tv: np.ndarray    # R x T
     max_potential_gap: float      # over all trials and steps
-    exp_gap_sum: np.ndarray = None    # R x T x n, only when asked for
-    potential_gap: np.ndarray = None  # R x T, only when asked for
 
 
 @dataclass(frozen=True)
@@ -185,18 +164,12 @@ def _per_trial(trials, axes: dict, fill=None) -> np.ndarray:
 
 
 def simulate_trials(model, process, eta: float, horizon: int, base_seed: int,
-                    trials, diagnostics: bool = False) -> TrialBatch:
-    """Run both engines on common signal streams for `horizon` steps per trial.
-
-    The per-step exp-gap sums and potential gaps are kept only with
-    `diagnostics`; the largest potential gap is always reported.
-    """
+                    trials) -> TrialBatch:
+    """Run both engines on common signal streams for `horizon` steps per trial."""
     n, true = model.n, model.states.true_index
     series, per_step = {"horizon": horizon, "n": n}, {"horizon": horizon}
     tv, kl = _per_trial(trials, series), _per_trial(trials, series)
     ctv = _per_trial(trials, per_step)
-    egs = _per_trial(trials, series) if diagnostics else None
-    pgap = _per_trial(trials, per_step) if diagnostics else None
     max_gap = 0.0
     for rows, t0, dec, cen in potential_blocks(model, process, horizon, base_seed, trials):
         steps = slice(t0, t0 + len(dec))
@@ -206,33 +179,8 @@ def simulate_trials(model, process, eta: float, horizon: int, base_seed: int,
         ctv[rows, steps] = _tv_error(mu_c, true).T
         gap = functools.reduce(np.maximum, _columns(np.abs(dec.mean(axis=2) - cen)))
         max_gap = np.maximum(max_gap, gap.max())
-        if diagnostics:
-            pgap[rows, steps] = gap.T
-            with np.errstate(over="ignore"):
-                egs[rows, steps] = _false_mass(
-                    np.exp(dec - dec[..., [true]]), true).swapaxes(0, 1)
     return TrialBatch(tv_error=tv, kl_increment=kl, centralized_tv=ctv,
-                      max_potential_gap=float(max_gap), exp_gap_sum=egs,
-                      potential_gap=pgap)
-
-
-def simulate_trial(model, process, eta: float, horizon: int,
-                   base_seed: int, trial: int = 0) -> TrajectoryRecord:
-    """One trial with every diagnostic: the R = 1 case of `simulate_trials`."""
-    b = simulate_trials(model, process, eta, horizon, base_seed, [trial],
-                        diagnostics=True)
-    return TrajectoryRecord(
-        tv_error=b.tv_error[0], kl_increment=b.kl_increment[0],
-        centralized_tv=b.centralized_tv[0], exp_gap_sum=b.exp_gap_sum[0],
-        potential_gap=b.potential_gap[0], seed=(base_seed, trial),
-    )
-
-
-def kl_cost(trajectory: TrajectoryRecord, i: int, T: int) -> float:
-    """Cumulative decentralization cost sum_{t<=T} D_KL(mu_{i,t} || mu_t)."""
-    if T < 1 or T > trajectory.horizon:
-        raise ValueError(f"T={T} outside recorded horizon {trajectory.horizon}")
-    return float(trajectory.kl_increment[:T, i].sum())
+                      max_potential_gap=float(max_gap))
 
 
 def theorem1_bound(B, I, m, n, delta, sigma2_w) -> BoundReport:
@@ -396,21 +344,3 @@ def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list
             },
         ))
     return reports
-
-
-def empirical_rate_slope(trajectory: TrajectoryRecord, i: int, window) -> float:
-    """Least-squares slope of ln(TV error) against t over steps t1..t2 inclusive."""
-    t1, t2 = window
-    if not 1 <= t1 < t2 <= trajectory.horizon:
-        raise ValueError(f"bad window {window} for horizon {trajectory.horizon}")
-    tv = trajectory.tv_error[t1 - 1:t2, i]
-    if np.any(tv <= 0):
-        raise UnderflowWindow(f"TV error reached 0 inside window {window}")
-    ts = np.arange(t1, t2 + 1, dtype=float)
-    return float(np.polyfit(ts, np.log(tv), 1)[0])
-
-
-def last_positive_tv_step(trajectory: TrajectoryRecord, i: int) -> int:
-    """Largest step t with strictly positive TV error for agent i (0 if none)."""
-    pos = np.flatnonzero(trajectory.tv_error[:, i] > 0)
-    return int(pos[-1] + 1) if pos.size else 0

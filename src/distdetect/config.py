@@ -37,22 +37,24 @@ def _build_model(spec: dict) -> signals.SignalModel:
     m = len(tables[0])
     true = _whole(spec.get("true_state", 0), "true_state", 0)
     states = signals.StateSpace(m=m, true_index=true)
-    agents = [signals.AgentLikelihood(t) for t in tables]
+    agents = [signals.AgentLikelihood(_rows(t, "agents entry")) for t in tables]
     return signals.SignalModel(states=states, agents=agents)
 
 
 def _build_process(spec: dict) -> network.NetworkProcess:
     kind = spec["kind"]
     if kind == "fixed":
-        return network.fixed_process(spec["matrix"])
+        return network.fixed_process(_rows(spec["matrix"], "matrix entry"))
     if kind == "finite_support":
-        pairs = [(item["matrix"], item["prob"]) for item in spec["support"]]
+        pairs = [(_rows(item["matrix"], "matrix entry"), _finite(item["prob"], "prob"))
+                 for item in spec["support"]]
         return network.finite_support_process(pairs)
     if kind not in ("gossip", "metropolis"):
         raise ConfigInvalid(f"unknown network kind {kind!r}")
     g = spec["graph"]
     graph = network.Graph(_whole(g["n"], "graph n", 1),
-                          frozenset(tuple(e) for e in g["edges"]))
+                          frozenset(tuple(_whole(v, "edges endpoint", 0) for v in e)
+                                    for e in g["edges"]))
     if kind == "gossip":
         return network.gossip_process(graph)
     return network.fixed_process(network.metropolis_matrix(graph))
@@ -77,6 +79,11 @@ def _finite(value, name: str) -> float:
         except OverflowError:  # an int beyond the float range
             pass
     raise ConfigInvalid(f"{name} must be a finite number, got {value!r}")
+
+
+def _rows(rows, name: str) -> list:
+    """A table given as rows of numbers, each entry checked by `_finite`."""
+    return [[_finite(x, name) for x in row] for row in rows]
 
 
 def load_config(path) -> ScenarioConfig:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateNetwork, DimensionMismatch
+from .errors import DegenerateInputs, DimensionMismatch
 from .prob import gibbs_belief
 from .signals import log_marginal_vector
 
@@ -101,9 +101,9 @@ def closed_form_phi(matrices, psis, i: int) -> np.ndarray:
 def theorem1_learning_rate(B: float, n: int, sigma2_w: float) -> float:
     """The spectral-gap-scaled learning rate (1 - sigma2) / (16 B log n)."""
     if n < 2:
-        raise DegenerateNetwork(f"need n >= 2, got {n}")
+        raise DegenerateInputs(f"need n >= 2, got {n}")
     if not 0 <= sigma2_w < 1:
-        raise DegenerateNetwork(f"sigma2 must lie in [0, 1), got {sigma2_w}")
+        raise DegenerateInputs(f"sigma2 must lie in [0, 1), got {sigma2_w}")
     if B <= 0:
-        raise DegenerateNetwork(f"log bound B must be positive, got {B}")
+        raise DegenerateInputs(f"log bound B must be positive, got {B}")
     return (1.0 - sigma2_w) / (16.0 * B * math.log(n))

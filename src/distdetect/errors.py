@@ -37,16 +37,8 @@ class DimensionMismatch(DistDetectError):
     """Inconsistent sizes between matrices, samples and models."""
 
 
-class DegenerateNetwork(DistDetectError):
-    """Learning-rate formula undefined (n < 2 or spectral radius not below 1)."""
-
-
 class DegenerateInputs(DistDetectError):
-    """Bound evaluation requested outside its domain."""
-
-
-class UnderflowWindow(DistDetectError):
-    """Rate-slope window contains a zero (underflowed) TV value."""
+    """A bound or learning-rate formula evaluated outside its domain."""
 
 
 class InvalidScenario(DistDetectError):

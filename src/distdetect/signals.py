@@ -134,13 +134,6 @@ def pairwise_rates(model) -> np.ndarray:
     return np.cumsum(kl, axis=0)[-1] / model.n  # cumsum adds in agent order
 
 
-def pairwise_rate(model, k: int) -> float:
-    """Network-averaged KL rate I(theta_1, theta_k) for a false state k."""
-    if k == model.states.true_index or not 0 <= k < model.m:
-        raise ValueError(f"pairwise rate is defined for a false state in [0, {model.m}), got {k}")
-    return float(pairwise_rates(model)[k])
-
-
 def second_state(model):
     """The hardest false state: argmin_k I(theta_1, theta_k), ties to the smallest index.
 

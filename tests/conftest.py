@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from distdetect import network, signals
+from distdetect import analysis, network, signals
 
 INFORMATIVE = [[0.8, 0.2], [0.2, 0.8]]
 UNINFORMATIVE_2 = [[0.5, 0.5], [0.5, 0.5]]
@@ -51,3 +51,35 @@ def random_mixing_matrix(rng, n):
             if rng.random() < 0.4:
                 edges.add((i, j))
     return network.metropolis_matrix(network.Graph(n, frozenset(edges)))
+
+
+def exp_gap_sums(model, process, horizon, base_seed, trials):
+    """sum_{k != true} exp(phi_ik - phi_i,true) per trial, step and agent: (R, T, n).
+
+    This is the eta = 1 bound on each agent's TV error. The potentials come
+    from `analysis.potential_blocks` with the seeds `simulate_trials` uses,
+    so row r matches row r of its batch.
+    """
+    true = model.states.true_index
+    out = np.empty((len(trials), horizon, model.n))
+    for rows, t0, dec, _ in analysis.potential_blocks(model, process, horizon, base_seed,
+                                                      trials):
+        with np.errstate(over="ignore"):
+            gaps = analysis._false_mass(np.exp(dec - dec[..., [true]]), true)
+        out[rows, t0:t0 + len(dec)] = gaps.swapaxes(0, 1)
+    return out
+
+
+def rate_slope(tv, window):
+    """Least-squares slope of ln(TV error) against t over steps t1..t2 inclusive.
+
+    `tv` holds one agent's TV error by step, step t at index t-1. Raises
+    ValueError on a window outside the steps or on a zero TV inside it.
+    """
+    t1, t2 = window
+    if not 1 <= t1 < t2 <= len(tv):
+        raise ValueError(f"bad window {window} for horizon {len(tv)}")
+    tv = tv[t1 - 1:t2]
+    if np.any(tv <= 0):
+        raise ValueError(f"TV error reached 0 inside window {window}")
+    return float(np.polyfit(np.arange(t1, t2 + 1, dtype=float), np.log(tv), 1)[0])

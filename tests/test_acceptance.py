@@ -12,7 +12,7 @@ import yaml
 
 from distdetect import analysis, cli, detection, network, signals
 
-from conftest import make_model, random_mixing_matrix
+from conftest import exp_gap_sums, make_model, random_mixing_matrix, rate_slope
 
 UNINF3 = [[0.5, 0.5]] * 3
 REF_TABLES = [
@@ -42,15 +42,16 @@ def ref_process():
 @pytest.fixture(scope="module")
 def ref_long_trajectories(ref_model, ref_process):
     """Reference scenario, eta = 1, T = 5000, 20 seeds (criteria 5, 8, 9)."""
-    return [
-        analysis.simulate_trial(ref_model, ref_process, 1.0, 5000, BASE_SEED, r)
-        for r in range(N_SEEDS)
-    ]
+    return analysis.simulate_trials(ref_model, ref_process, 1.0, 5000, BASE_SEED,
+                                    range(N_SEEDS))
 
 
 @pytest.fixture(scope="module")
 def six_agent_trajectories():
-    """n=6, m=3 gossip on a 6-cycle, T=1000, 20 seeds (criteria 1, 8)."""
+    """n=6, m=3 gossip on a 6-cycle, T=1000, 20 seeds (criteria 1, 8).
+
+    Returns the model, the process, the batch and the seconds it took.
+    """
     tables = [
         [[0.8, 0.2], [0.2, 0.8], [0.8, 0.2]],
         [[0.8, 0.2], [0.8, 0.2], [0.2, 0.8]],
@@ -58,16 +59,13 @@ def six_agent_trajectories():
     model = make_model(tables)
     process = network.gossip_process(network.cycle_graph(6))
     start = time.monotonic()
-    trajs = [
-        analysis.simulate_trial(model, process, 1.0, 1000, BASE_SEED, r)
-        for r in range(N_SEEDS)
-    ]
-    return trajs, time.monotonic() - start
+    batch = analysis.simulate_trials(model, process, 1.0, 1000, BASE_SEED, range(N_SEEDS))
+    return model, process, batch, time.monotonic() - start
 
 
 def test_criterion_1_connection_identity(six_agent_trajectories):
-    trajs, elapsed = six_agent_trajectories
-    worst = max(traj.potential_gap.max() for traj in trajs)
+    _, _, batch, elapsed = six_agent_trajectories
+    worst = batch.max_potential_gap
     assert worst <= 1e-8, f"potential gap {worst} exceeds 1e-8"
     assert elapsed < 10.0, f"took {elapsed:.1f}s, limit 10s"
     _passline(1, f"connection identity: max gap {worst:.2e} over {N_SEEDS} seeds, {elapsed:.1f}s")
@@ -167,11 +165,11 @@ def test_criterion_4_theorem1_verification():
 def test_criterion_5_asymptotic_rate(ref_model, ref_long_trajectories):
     _, rate = signals.second_state(ref_model)
     slopes = np.zeros(ref_model.n)
-    for traj in ref_long_trajectories:
+    for tv in ref_long_trajectories.tv_error:
         for i in range(ref_model.n):
-            stop = min(analysis.last_positive_tv_step(traj, i), 5000)
-            slopes[i] += analysis.empirical_rate_slope(traj, i, (2500, stop))
-    slopes /= len(ref_long_trajectories)
+            stop = min(int(np.flatnonzero(tv[:, i] > 0)[-1]) + 1, 5000)
+            slopes[i] += rate_slope(tv[:, i], (2500, stop))
+    slopes /= N_SEEDS
     rel = slopes / (-rate)
     assert np.all((rel >= 0.8) & (rel <= 1.2)), (
         f"seed-averaged slopes {slopes} outside +/-20% of {-rate}"
@@ -207,17 +205,20 @@ def test_criterion_7_mixing_deviation_bound():
     _passline(7, f"mixing-deviation bound holds on all fixtures (worst margin {worst_margin:.3f})")
 
 
-def test_criterion_8_tv_exp_gap_inequality(ref_long_trajectories, six_agent_trajectories):
-    trajs = list(ref_long_trajectories) + list(six_agent_trajectories[0])
-    for traj in trajs:
-        assert np.all(traj.tv_error <= traj.exp_gap_sum + 1e-12)
-    _passline(8, f"TV <= exp-gap-sum at every step of {len(trajs)} trajectories")
+def test_criterion_8_tv_exp_gap_inequality(ref_model, ref_process, ref_long_trajectories,
+                                           six_agent_trajectories):
+    model, process, six, _ = six_agent_trajectories
+    runs = [(ref_model, ref_process, ref_long_trajectories), (model, process, six)]
+    for model, process, batch in runs:
+        horizon = batch.tv_error.shape[1]
+        gaps = exp_gap_sums(model, process, horizon, BASE_SEED, range(N_SEEDS))
+        assert np.all(batch.tv_error <= gaps + 1e-12)
+    _passline(8, f"TV <= exp-gap-sum at every step of {len(runs) * N_SEEDS} trajectories")
 
 
 def test_criterion_9_strong_consistency(ref_long_trajectories):
-    for traj in ref_long_trajectories:
-        reached = (traj.tv_error <= 1e-6).any(axis=0)
-        assert reached.all(), "an agent never reached TV <= 1e-6 within T=5000"
+    reached = (ref_long_trajectories.tv_error <= 1e-6).any(axis=1)
+    assert reached.all(), "an agent never reached TV <= 1e-6 within T=5000"
     _passline(9, f"strong consistency: all agents below 1e-6 in all {N_SEEDS} seeds")
 
 

@@ -42,6 +42,10 @@ SMALL_CONFIG = {
 }
 
 
+# Metropolis weights of the 4-cycle
+RING4 = [[0.5, 0.25, 0, 0.25], [0.25, 0.5, 0.25, 0], [0, 0.25, 0.5, 0.25], [0.25, 0, 0.25, 0.5]]
+
+
 def write_config(tmp_path, overrides=None, name="scenario.yaml"):
     raw = json.loads(json.dumps(SMALL_CONFIG))  # deep copy
     raw["output_dir"] = str(tmp_path / "out")
@@ -424,6 +428,20 @@ def test_artifacts_independent_of_thread_timeout(tmp_path):
     ({"horizon": 10**30}, [], "horizon"),  # prop1 runs only to its checkpoint
     ({"horizon": 2**63, "checkpoints": [1]}, [], "horizon"),
     ({"checkpoints": [2**63]}, [], "checkpoint"),
+    # numbers given as YAML booleans or strings
+    ({"network": {"kind": "finite_support", "support": [{"matrix": RING4, "prob": True}]}},
+     [], "prob"),
+    ({"network": {"kind": "finite_support", "support": [{"matrix": RING4, "prob": "1"}]}},
+     [], "prob"),
+    ({"network": {"kind": "finite_support", "support": [
+        {"matrix": RING4, "prob": "0.5"}, {"matrix": RING4, "prob": 0.5}]}}, [], "prob"),
+    ({"signal_model.agents": [[["0.8", 0.2], [0.5, 0.5], [0.8, 0.2]]]
+      + SMALL_CONFIG["signal_model"]["agents"][1:]}, [], "agents entry"),
+    ({"network": {"kind": "fixed", "matrix": [[str(x) for x in row] for row in RING4]}},
+     [], "matrix entry"),
+    ({"network": {"kind": "fixed", "matrix": [[x or False for x in row] for row in RING4]}},
+     [], "matrix entry"),
+    ({"network.graph.edges": [[False, True], [True, 2], [2, 3], [3, 0]]}, [], "edges endpoint"),
 ])
 def test_invalid_input_exits_2_without_traceback(tmp_path, overrides, flags, field):
     if overrides == "missing":
@@ -497,24 +515,27 @@ FINITE_SUPPORT_CONFIG = dict(SMALL_CONFIG, network={"kind": "finite_support", "s
 
 @st.composite
 def junk_configs(draw):
-    """A valid small config with one node (possibly the root) replaced by junk."""
+    """A valid small config with one node (possibly the root) replaced by junk.
+
+    Returns the config, the node that was replaced and the junk.
+    """
     raw = json.loads(json.dumps(draw(st.sampled_from([SMALL_CONFIG, FINITE_SUPPORT_CONFIG]))))
     path = draw(st.sampled_from(list(_node_paths(raw))))
     junk = draw(JUNK)
     if not path:
-        return junk, junk
+        return junk, raw, junk
     node = raw
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = junk
-    return raw, junk
+    replaced, node[path[-1]] = node[path[-1]], junk
+    return raw, replaced, junk
 
 
 @settings(max_examples=120, deadline=None)
 @given(junk_configs(), st.sampled_from(COMMANDS))
 def test_junk_config_node_exits_cleanly(case, command):
     # horizons and trial counts stay small: resource exhaustion is not probed here
-    raw, junk = case
+    raw, replaced, junk = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "junk.yaml"
         cfg.write_text(yaml.safe_dump(raw))
@@ -522,3 +543,6 @@ def test_junk_config_node_exits_cleanly(case, command):
     assert code in (0, 1, 2)
     if isinstance(junk, float) and not math.isfinite(junk):
         assert code == 2  # no config field accepts a NaN or an infinity
+    if (isinstance(replaced, (int, float)) and not isinstance(replaced, bool)
+            and isinstance(junk, (bool, str))):
+        assert code == 2  # a number given as a YAML boolean or string

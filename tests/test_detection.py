@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distdetect import detection, network, signals
-from distdetect.errors import DegenerateNetwork, DimensionMismatch
+from distdetect.errors import DegenerateInputs, DimensionMismatch
 
 from conftest import INFORMATIVE, UNINFORMATIVE_2, make_model, random_mixing_matrix
 
@@ -192,9 +192,9 @@ class TestLearningRate:
         assert all(b < a for a, b in zip(etas, etas[1:]))
 
     def test_degenerate_inputs(self):
-        with pytest.raises(DegenerateNetwork):
+        with pytest.raises(DegenerateInputs):
             detection.theorem1_learning_rate(1.0, 1, 0.5)
-        with pytest.raises(DegenerateNetwork):
+        with pytest.raises(DegenerateInputs):
             detection.theorem1_learning_rate(1.0, 4, 1.0)
 
 

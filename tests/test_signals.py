@@ -71,25 +71,19 @@ class TestEquivalentStates:
 class TestPairwiseRate:
     def test_hand_value(self, two_agent_model):
         # (1/2) * (KL((0.8,0.2)||(0.2,0.8)) + 0) = (1/2) * 0.6 ln 4
-        assert signals.pairwise_rate(two_agent_model, 1) == pytest.approx(
+        assert signals.pairwise_rates(two_agent_model)[1] == pytest.approx(
             0.3 * math.log(4), abs=1e-12
         )
 
     def test_duplication_invariance(self, two_agent_model):
         doubled = make_model([INFORMATIVE, UNINFORMATIVE_2] * 2)
-        assert signals.pairwise_rate(doubled, 1) == pytest.approx(
-            signals.pairwise_rate(two_agent_model, 1)
+        assert signals.pairwise_rates(doubled)[1] == pytest.approx(
+            signals.pairwise_rates(two_agent_model)[1]
         )
 
     def test_positive_for_all_false_states(self, reference_model):
         for k in (1, 2):
-            assert signals.pairwise_rate(reference_model, k) > 0
-
-    def test_only_false_states(self, reference_model):
-        # -3 would index the true state's row from the end
-        for k in (0, -3, -1, 3):
-            with pytest.raises(ValueError):
-                signals.pairwise_rate(reference_model, k)
+            assert signals.pairwise_rates(reference_model)[k] > 0
 
 
 class TestSecondState:
@@ -104,11 +98,11 @@ class TestSecondState:
         m = make_model([a, [[0.5, 0.5]] * 3])
         k, rate = signals.second_state(m)
         assert k == 2
-        assert rate == pytest.approx(signals.pairwise_rate(m, 2))
+        assert rate == pytest.approx(signals.pairwise_rates(m)[2])
 
     def test_tie_breaks_to_smallest_index(self, reference_model):
-        r1 = signals.pairwise_rate(reference_model, 1)
-        r2 = signals.pairwise_rate(reference_model, 2)
+        r1 = signals.pairwise_rates(reference_model)[1]
+        r2 = signals.pairwise_rates(reference_model)[2]
         assert r1 == pytest.approx(r2)
         assert signals.second_state(reference_model)[0] == 1
 
