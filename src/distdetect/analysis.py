@@ -166,7 +166,7 @@ def _per_trial(trials, axes: dict, fill=None) -> np.ndarray:
 def simulate_trials(model, process, eta: float, horizon: int, base_seed: int,
                     trials) -> TrialBatch:
     """Run both engines on common signal streams for `horizon` steps per trial."""
-    n, true = model.n, model.states.true_index
+    n, true = model.n, model.true_index
     series, per_step = {"horizon": horizon, "n": n}, {"horizon": horizon}
     tv, kl = _per_trial(trials, series), _per_trial(trials, series)
     ctv = _per_trial(trials, per_step)
@@ -288,7 +288,7 @@ def theorem1_statistics(sc: Scenario, eta, base_seed, trials) -> np.ndarray:
 
 def prop1_statistics(sc: Scenario, eta, base_seed, trials) -> np.ndarray:
     """Per trial and checkpoint, the largest log TV error over agents: (R, C)."""
-    true = sc.model.states.true_index
+    true = sc.model.true_index
     # NaN until its checkpoint is reached, so an unreached one fails closed
     stats = _per_trial(trials, {"checkpoints": len(sc.checkpoints)}, fill=np.nan)
     for rows, t0, dec, _ in potential_blocks(

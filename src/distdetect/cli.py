@@ -86,7 +86,7 @@ def cmd_simulate(cfg, args) -> int:
         "config_digest": cfg.digest,
         "n": cfg.model.n,
         "m": cfg.model.m,
-        "true_state": cfg.model.states.true_index,
+        "true_state": cfg.model.true_index,
         "log_bound_B": B,
         "second_state": k2,
         "pairwise_rate_I": rate,
@@ -137,7 +137,7 @@ def cmd_verify(cfg, args) -> int:
 
 
 def cmd_spectral(cfg, args) -> int:
-    seed, _, outdir = _resolve(cfg, args)
+    outdir = args.output_dir if args.output_dir is not None else cfg.output_dir
     s2 = network.sigma2(cfg.w_bar)
     t_values = args.t_values if args.t_values else list(cfg.checkpoints)
     deviation = network.mixing_deviation_sum(cfg.w_bar, t_values)
@@ -170,10 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
                      ("spectral", cmd_spectral)):
         sp = sub.add_parser(name)
         sp.add_argument("config", help="path to a YAML scenario config")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=None)
         sp.add_argument("--output-dir", default=None)
         sp.set_defaults(fn=fn)
+    for name in ("simulate", "verify"):
+        sub.choices[name].add_argument("--seed", type=int, default=None)
+        sub.choices[name].add_argument("--trials", type=int, default=None)
     sub.choices["verify"].add_argument(
         "--which", choices=["theorem1", "prop1"], required=True
     )

@@ -32,21 +32,12 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _build_model(spec: dict) -> signals.SignalModel:
-    tables = spec["agents"]
-    m = len(tables[0])
-    true = _whole(spec.get("true_state", 0), "true_state", 0)
-    states = signals.StateSpace(m=m, true_index=true)
-    agents = [signals.AgentLikelihood(_rows(t, "agents entry")) for t in tables]
-    return signals.SignalModel(states=states, agents=agents)
-
-
 def _build_process(spec: dict) -> network.NetworkProcess:
     kind = spec["kind"]
     if kind == "fixed":
-        return network.fixed_process(_rows(spec["matrix"], "matrix entry"))
+        return network.fixed_process(_rows(spec["matrix"], "matrix"))
     if kind == "finite_support":
-        pairs = [(_rows(item["matrix"], "matrix entry"), _finite(item["prob"], "prob"))
+        pairs = [(_rows(item["matrix"], "matrix"), _finite(item["prob"], "prob"))
                  for item in spec["support"]]
         return network.finite_support_process(pairs)
     if kind not in ("gossip", "metropolis"):
@@ -82,8 +73,11 @@ def _finite(value, name: str) -> float:
 
 
 def _rows(rows, name: str) -> list:
-    """A table given as rows of numbers, each entry checked by `_finite`."""
-    return [[_finite(x, name) for x in row] for row in rows]
+    """A table given as a list of equal-length lists, each entry checked by `_finite`."""
+    if (not isinstance(rows, list) or not all(isinstance(row, list) for row in rows)
+            or len({len(row) for row in rows}) > 1):
+        raise ConfigInvalid(f"{name} must be a list of equal-length lists of numbers")
+    return [[_finite(x, f"{name} entry") for x in row] for row in rows]
 
 
 def load_config(path) -> ScenarioConfig:
@@ -107,7 +101,9 @@ def build_config(raw: dict) -> ScenarioConfig:
 
 
 def _build_config(raw: dict) -> ScenarioConfig:
-    model = _build_model(raw["signal_model"])
+    spec = raw["signal_model"]
+    model = signals.SignalModel([_rows(t, "agents") for t in spec["agents"]],
+                                _whole(spec.get("true_state", 0), "true_state", 0))
     process = _build_process(raw["network"])
     horizon = _whole(raw.get("horizon", 1), "horizon", 1, network.T_MAX)
     trials = _whole(raw.get("trials", 1), "trials", 1)

@@ -59,7 +59,7 @@ def decentralized_step(state: DecentralizedState, w, sample, model) -> Decentral
         raise DimensionMismatch(
             f"mixing matrix shape {w.shape} does not match {state.phi.shape[0]} agents"
         )
-    if len(sample) != state.phi.shape[0] or len(model.agents) != state.phi.shape[0]:
+    if len(sample) != state.phi.shape[0] or model.n != state.phi.shape[0]:
         raise DimensionMismatch("sample / model size does not match engine state")
     psi = log_marginal_matrix(model, sample)
     return replace(state, phi=w @ state.phi + psi, t=state.t + 1)

@@ -1,9 +1,10 @@
 """Finite-alphabet signal models and the information quantities they induce.
 
-A model bundles one likelihood table per agent (rows = states, columns =
-alphabet symbols). All entries must be strictly positive so the uniform
-log-likelihood bound B is finite, and the true state must be globally
-identifiable: every false state is distinguished by at least one agent.
+A model is one likelihood table per agent (rows = states, columns = alphabet
+symbols) and the index of the true state. All entries must be strictly
+positive so the uniform log-likelihood bound B is finite, and the true state
+must be globally identifiable: every false state is distinguished by at least
+one agent.
 """
 
 from dataclasses import dataclass, field
@@ -21,67 +22,46 @@ ROW_SUM_TOL = 1e-12
 EQUIV_TOL = 1e-12  # per-entry tolerance for observational equivalence
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    m: int
-    true_index: int = 0
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"need at least 2 states, got m={self.m}")
-        if not 0 <= self.true_index < self.m:
-            raise ValueError(f"true_index {self.true_index} outside [0, {self.m})")
-
-
-@dataclass(frozen=True, eq=False)
-class AgentLikelihood:
-    """m x |S_i| likelihood table for one agent; row k is l_i(.|theta_k)."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
-        if self.table.ndim != 2:
-            raise ValueError("likelihood table must be 2-d (states x symbols)")
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.table.shape[1]
-
-
 @dataclass(frozen=True, eq=False)
 class SignalModel:
-    states: StateSpace
-    agents: tuple
+    """Row k of tables[i] is l_i(.|theta_k); n, m and each alphabet size are read off them."""
+
+    tables: tuple
+    true_index: int = 0
     # per-agent row-cumsum over the true state's row, for inverse-CDF sampling
     _true_cdfs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "agents", tuple(self.agents))
+        object.__setattr__(self, "tables", tuple(np.asarray(t, dtype=float) for t in self.tables))
         validate_model(self)
-        k = self.states.true_index
-        cdfs = tuple(np.cumsum(a.table[k]) for a in self.agents)
+        cdfs = tuple(np.cumsum(t[self.true_index]) for t in self.tables)
         object.__setattr__(self, "_true_cdfs", cdfs)
 
     @property
     def n(self) -> int:
-        return len(self.agents)
+        return len(self.tables)
 
     @property
     def m(self) -> int:
-        return self.states.m
+        return self.tables[0].shape[0]
 
 
 def validate_model(model) -> None:
-    """Check positivity, row normalization, n >= 2 and global identifiability.
-
-    Raises on any assumption violation.
-    """
-    if len(model.agents) < 2:
-        raise ValueError(f"need at least 2 agents, got {len(model.agents)}")
-    m = model.states.m
-    for i, agent in enumerate(model.agents):
-        t = agent.table
+    """Check the assumptions in order and raise on the first one violated: n >= 2,
+    2-d tables, m >= 2, the true index, one row per state, positive entries, rows
+    summing to 1 and global identifiability."""
+    if model.n < 2:
+        raise ValueError(f"need at least 2 agents, got {model.n}")
+    for i, t in enumerate(model.tables):
+        if t.ndim != 2:
+            raise DimensionMismatch(
+                f"agent {i} table has shape {t.shape}; it must be 2-d (states x symbols)")
+    m, true = model.m, model.true_index
+    if m < 2:
+        raise ValueError(f"need at least 2 states, got m={m}")
+    if not 0 <= true < m:
+        raise ValueError(f"true_index {true} outside [0, {m})")
+    for i, t in enumerate(model.tables):
         if t.shape[0] != m:
             raise DimensionMismatch(
                 f"agent {i} table has {t.shape[0]} rows, model has {m} states"
@@ -95,23 +75,23 @@ def validate_model(model) -> None:
         if np.any(bad):
             raise BadRowSum(f"agent {i} rows {np.flatnonzero(bad).tolist()} sum to {sums[bad]}")
 
-    common = set.intersection(*(equivalent_states(model, i) for i in range(len(model.agents))))
-    if common != {model.states.true_index}:
+    common = set.intersection(*(equivalent_states(model, i) for i in range(model.n)))
+    if common != {true}:
         raise NotIdentifiable(
-            f"states {sorted(common - {model.states.true_index})} are observationally "
+            f"states {sorted(common - {true})} are observationally "
             "equivalent to the true state for every agent"
         )
 
 
 def log_bound_B(model) -> float:
     """Tightest uniform bound B on |log l_i(s|theta_k)| over all i, k, s."""
-    return max(float(np.abs(np.log(a.table)).max()) for a in model.agents)
+    return max(float(np.abs(np.log(t)).max()) for t in model.tables)
 
 
 def equivalent_states(model, agent: int):
     """State indices whose likelihood row matches the true state's row for this agent."""
-    t = model.agents[agent].table
-    truth = t[model.states.true_index]
+    t = model.tables[agent]
+    truth = t[model.true_index]
     close = np.abs(t - truth).max(axis=1) <= EQUIV_TOL
     return set(np.flatnonzero(close).tolist())
 
@@ -124,11 +104,11 @@ def pairwise_rates(model) -> np.ndarray:
     by alphabet size, so one sweep covers all agents with the same size. The
     entry at the true state is 0.
     """
-    true = model.states.true_index
+    true = model.true_index
     kl = np.empty((model.n, model.m))
-    for size in {a.alphabet_size for a in model.agents}:
-        rows = [i for i, a in enumerate(model.agents) if a.alphabet_size == size]
-        tab = np.stack([model.agents[i].table for i in rows])  # (agents, m, size)
+    for size in {t.shape[1] for t in model.tables}:
+        rows = [i for i, t in enumerate(model.tables) if t.shape[1] == size]
+        tab = np.stack([model.tables[i] for i in rows])  # (agents, m, size)
         p = tab[:, [true]]
         kl[rows] = np.maximum((p * np.log(p / tab)).sum(axis=2), 0.0)
     return np.cumsum(kl, axis=0)[-1] / model.n  # cumsum adds in agent order
@@ -141,7 +121,7 @@ def second_state(model):
     like the true state's, hence the one that controls the convergence rate.
     """
     rates = pairwise_rates(model)
-    rates[model.states.true_index] = np.inf
+    rates[model.true_index] = np.inf
     k = int(np.argmin(rates))
     return k, float(rates[k])
 
@@ -157,7 +137,7 @@ def sample_step(model, rng) -> np.ndarray:
 
 def log_marginal_vector(model, agent: int, symbol: int) -> np.ndarray:
     """(log l_agent(symbol | theta_k))_k; every entry lies in [-B, B]."""
-    return np.log(model.agents[agent].table[:, symbol])
+    return np.log(model.tables[agent][:, symbol])
 
 
 def padded_tables(model):
@@ -168,10 +148,10 @@ def padded_tables(model):
     symbol on are +inf, so for a uniform u the count of entries <= u is the
     symbol `sample_step` draws for u, capped at the agent's last symbol.
     """
-    width = max(a.alphabet_size for a in model.agents)
+    width = max(t.shape[1] for t in model.tables)
     cdf = np.full((model.n, width), np.inf)
     logtab = np.zeros((model.n, width, model.m))
-    for i, (agent, c) in enumerate(zip(model.agents, model._true_cdfs)):
-        cdf[i, :agent.alphabet_size - 1] = c[:-1]
-        logtab[i, :agent.alphabet_size] = np.log(agent.table).T
+    for i, (t, c) in enumerate(zip(model.tables, model._true_cdfs)):
+        cdf[i, :t.shape[1] - 1] = c[:-1]
+        logtab[i, :t.shape[1]] = np.log(t).T
     return cdf, logtab

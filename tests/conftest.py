@@ -7,25 +7,17 @@ INFORMATIVE = [[0.8, 0.2], [0.2, 0.8]]
 UNINFORMATIVE_2 = [[0.5, 0.5], [0.5, 0.5]]
 
 
-def make_model(tables, true_state=0):
-    m = len(tables[0])
-    return signals.SignalModel(
-        states=signals.StateSpace(m=m, true_index=true_state),
-        agents=[signals.AgentLikelihood(t) for t in tables],
-    )
-
-
 @pytest.fixture
 def two_agent_model():
     """Agent 0 informative, agent 1 uninformative; m = 2."""
-    return make_model([INFORMATIVE, UNINFORMATIVE_2])
+    return signals.SignalModel([INFORMATIVE, UNINFORMATIVE_2])
 
 
 @pytest.fixture
 def reference_model():
     """The reference scenario: n=4, m=3, binary alphabets, two informative agents."""
     uninf = [[0.5, 0.5]] * 3
-    return make_model([
+    return signals.SignalModel([
         [[0.8, 0.2], [0.5, 0.5], [0.8, 0.2]],
         [[0.8, 0.2], [0.8, 0.2], [0.5, 0.5]],
         uninf,
@@ -60,7 +52,7 @@ def exp_gap_sums(model, process, horizon, base_seed, trials):
     from `analysis.potential_blocks` with the seeds `simulate_trials` uses,
     so row r matches row r of its batch.
     """
-    true = model.states.true_index
+    true = model.true_index
     out = np.empty((len(trials), horizon, model.n))
     for rows, t0, dec, _ in analysis.potential_blocks(model, process, horizon, base_seed,
                                                       trials):

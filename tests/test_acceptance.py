@@ -12,7 +12,7 @@ import yaml
 
 from distdetect import analysis, cli, detection, network, signals
 
-from conftest import exp_gap_sums, make_model, random_mixing_matrix, rate_slope
+from conftest import exp_gap_sums, random_mixing_matrix, rate_slope
 
 UNINF3 = [[0.5, 0.5]] * 3
 REF_TABLES = [
@@ -31,7 +31,7 @@ def _passline(num, text):
 
 @pytest.fixture(scope="module")
 def ref_model():
-    return make_model(REF_TABLES)
+    return signals.SignalModel(REF_TABLES)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ def six_agent_trajectories():
         [[0.8, 0.2], [0.2, 0.8], [0.8, 0.2]],
         [[0.8, 0.2], [0.8, 0.2], [0.2, 0.8]],
     ] + [UNINF3] * 4
-    model = make_model(tables)
+    model = signals.SignalModel(tables)
     process = network.gossip_process(network.cycle_graph(6))
     start = time.monotonic()
     batch = analysis.simulate_trials(model, process, 1.0, 1000, BASE_SEED, range(N_SEEDS))
@@ -84,7 +84,7 @@ def test_criterion_2_oracle_equivalence():
         for _ in range(n - 1):
             t = rng.uniform(0.1, 1.0, size=(m, 3))
             tables.append(t / t.sum(axis=1, keepdims=True))
-        model = make_model(tables)
+        model = signals.SignalModel(tables)
         kind = instance % 3
         if kind == 0:
             process = network.fixed_process(random_mixing_matrix(rng, n))
@@ -141,7 +141,7 @@ def test_criterion_4_theorem1_verification():
         [[0.8, 0.2], [0.2, 0.8]] if i % 2 == 0 else [[0.5, 0.5], [0.5, 0.5]]
         for i in range(8)
     ]
-    model = make_model(tables)
+    model = signals.SignalModel(tables)
     process = network.fixed_process(
         network.metropolis_matrix(network.cycle_graph(8))
     )

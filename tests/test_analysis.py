@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from distdetect import analysis, detection, network, signals
 from distdetect.errors import DegenerateInputs, InvalidScenario
 
-from conftest import exp_gap_sums, make_model, random_mixing_matrix, rate_slope
+from conftest import exp_gap_sums, random_mixing_matrix, rate_slope
 
 
 class TestTheorem1Bound:
@@ -282,7 +282,7 @@ def _random_case(n, m, kind, seed):
     for _ in range(n - 1):
         t = rng.uniform(0.1, 1.0, size=(m, int(rng.integers(2, 5))))
         tables.append(t / t.sum(axis=1, keepdims=True))
-    model = make_model(tables)
+    model = signals.SignalModel(tables)
     if kind == "fixed":
         return model, network.fixed_process(random_mixing_matrix(rng, n))
     if kind == "gossip":
@@ -331,8 +331,19 @@ def test_batched_potentials_match_oracle(case):
             assert np.abs(dec[-1, r, i] - closed).max() <= 1e-8
 
 
-def test_every_public_engine_name_is_used_in_src():
-    # a public name of the engine that only tests reach fails here
+# public names that nothing in src/ loads, each kept on purpose
+UNUSED_IN_SRC = {
+    "sample_step": "the oracle's signal draw, which the batched sampler is checked against",
+    "cycle_graph": "a graph fixture shared by the tests",
+    "path_graph": "a graph fixture shared by the tests",
+    "complete_graph": "a graph fixture shared by the tests",
+    "star_graph": "a graph fixture shared by the tests",
+}
+
+
+@pytest.mark.parametrize("module", ["analysis", "signals", "config", "cli", "errors", "network"])
+def test_every_public_name_is_used_in_src(module):
+    # a public name that only tests reach fails here, unless UNUSED_IN_SRC keeps it
     def loads(tree):
         return Counter(node.id if isinstance(node, ast.Name) else node.attr
                        for node in ast.walk(tree)
@@ -342,7 +353,7 @@ def test_every_public_engine_name_is_used_in_src():
     src = Path(analysis.__file__).parent
     used = sum((loads(ast.parse(p.read_text())) for p in src.glob("*.py")), Counter())
     unused = []
-    for node in ast.parse((src / "analysis.py").read_text()).body:
+    for node in ast.parse((src / f"{module}.py").read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -350,5 +361,6 @@ def test_every_public_engine_name_is_used_in_src():
         else:
             continue
         own = loads(node)  # a recursive call is no use from elsewhere
-        unused += [x for x in names if not x.startswith("_") and used[x] <= own[x]]
+        unused += [x for x in names if not x.startswith("_") and used[x] <= own[x]
+                   and x not in UNUSED_IN_SRC]
     assert unused == []

@@ -292,6 +292,16 @@ class TestSpectralCommand:
         assert big in capsys.readouterr().err
         assert not (tmp_path / "out" / "spectral.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_seed_and_trials_not_accepted(self, tmp_path, capsys, flag):
+        # spectral draws nothing, so neither flag could change its output
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectral", str(path), flag, "3"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unusable_output_dir_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path)
         blocker = tmp_path / "file"
@@ -418,7 +428,7 @@ def test_artifacts_independent_of_thread_timeout(tmp_path):
     ({}, ["--seed", "-5"], "--seed"),
     ("missing", [], "missing.yaml"),
     ("malformed", [], "malformed.yaml"),
-    ({"signal_model.agents": []}, [], "IndexError"),
+    ({"signal_model.agents": []}, [], "need at least 2 agents"),
     ({"learning_rate": True}, [], "learning_rate"),
     ({"delta": True}, [], "delta must be a finite number, got True"),
     ({"output_dir": [1, 2]}, [], "output_dir"),
@@ -442,6 +452,16 @@ def test_artifacts_independent_of_thread_timeout(tmp_path):
     ({"network": {"kind": "fixed", "matrix": [[x or False for x in row] for row in RING4]}},
      [], "matrix entry"),
     ({"network.graph.edges": [[False, True], [True, 2], [2, 3], [3, 0]]}, [], "edges endpoint"),
+    # tables that are not a list of equal-length lists
+    ({"signal_model.agents": [[0.5, 0.5]] + SMALL_CONFIG["signal_model"]["agents"][1:]},
+     [], "agents must be a list of equal-length lists"),
+    ({"signal_model.agents": [0.5] + SMALL_CONFIG["signal_model"]["agents"][1:]},
+     [], "agents must be a list of equal-length lists"),
+    ({"signal_model.agents": [[[0.8, 0.2], [0.5, 0.5], [1.0]]]
+      + SMALL_CONFIG["signal_model"]["agents"][1:]},
+     [], "agents must be a list of equal-length lists"),
+    ({"network": {"kind": "fixed", "matrix": [0.5, 0.5]}},
+     [], "matrix must be a list of equal-length lists"),
 ])
 def test_invalid_input_exits_2_without_traceback(tmp_path, overrides, flags, field):
     if overrides == "missing":

@@ -6,13 +6,13 @@ import pytest
 from distdetect import detection, network, signals
 from distdetect.errors import DegenerateInputs, DimensionMismatch
 
-from conftest import INFORMATIVE, UNINFORMATIVE_2, make_model, random_mixing_matrix
+from conftest import INFORMATIVE, UNINFORMATIVE_2, random_mixing_matrix
 
 
 @pytest.fixture
 def sym_pair_model():
     """Two agents with identical informative tables."""
-    return make_model([INFORMATIVE, INFORMATIVE])
+    return signals.SignalModel([INFORMATIVE, INFORMATIVE])
 
 
 class TestCentralized:
@@ -29,13 +29,7 @@ class TestCentralized:
         # identifiable, but the engine itself must keep the belief flat
         from types import SimpleNamespace
 
-        stub = SimpleNamespace(
-            states=signals.StateSpace(2, 0),
-            agents=(
-                signals.AgentLikelihood(UNINFORMATIVE_2),
-                signals.AgentLikelihood(UNINFORMATIVE_2),
-            ),
-        )
+        stub = SimpleNamespace(tables=(np.array(UNINFORMATIVE_2),) * 2)
         state = detection.initial_centralized(2, eta=1.0)
         for _ in range(10):
             state = detection.centralized_step(state, [0, 1], stub)
@@ -206,7 +200,7 @@ def test_oracle_equivalence_random_instances():
         m = int(rng.integers(2, 5))
         tables = [_random_table(rng, m) for _ in range(n)]
         tables[0] = _distinct_table(rng, m)  # guarantees identifiability
-        model = make_model(tables)
+        model = signals.SignalModel(tables)
         process = _random_process(rng, n)
         horizon = int(rng.integers(1, 51))
         matrices, psis, dec, _ = _simulate_instance(model, process, horizon, rng)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from distdetect import signals
-from distdetect.errors import NotIdentifiable, ZeroLikelihoodEntry, BadRowSum
+from distdetect.errors import BadRowSum, DimensionMismatch, NotIdentifiable, ZeroLikelihoodEntry
 from distdetect.prob import kl_divergence
 
-from conftest import INFORMATIVE, UNINFORMATIVE_2, make_model
+from conftest import INFORMATIVE, UNINFORMATIVE_2
 
 
 class TestValidation:
@@ -21,30 +21,42 @@ class TestValidation:
 
     def test_uninformative_pair_not_identifiable(self):
         with pytest.raises(NotIdentifiable):
-            make_model([UNINFORMATIVE_2, UNINFORMATIVE_2])
+            signals.SignalModel([UNINFORMATIVE_2, UNINFORMATIVE_2])
 
     def test_zero_entry_rejected(self):
         with pytest.raises(ZeroLikelihoodEntry):
-            make_model([[[1.0, 0.0], [0.5, 0.5]], INFORMATIVE])
+            signals.SignalModel([[[1.0, 0.0], [0.5, 0.5]], INFORMATIVE])
 
     def test_bad_row_sum_rejected(self):
         with pytest.raises(BadRowSum):
-            make_model([[[0.6, 0.6], [0.5, 0.5]], INFORMATIVE])
+            signals.SignalModel([[[0.6, 0.6], [0.5, 0.5]], INFORMATIVE])
+
+    @pytest.mark.parametrize("tables, true_index, error, message", [
+        ([INFORMATIVE], 0, ValueError, "need at least 2 agents, got 1"),
+        ([[[0.5, 0.5]], [[0.5, 0.5]]], 0, ValueError, "need at least 2 states, got m=1"),
+        ([INFORMATIVE, INFORMATIVE], 2, ValueError, r"true_index 2 outside \[0, 2\)"),
+        ([INFORMATIVE, [0.5, 0.5]], 0, DimensionMismatch, r"agent 1 table has shape \(2,\)"),
+        ([[INFORMATIVE], INFORMATIVE], 0, DimensionMismatch,
+         r"agent 0 table has shape \(1, 2, 2\)"),
+    ], ids=["one-agent", "one-state", "true-index-m", "1-d-table", "3-d-table"])
+    def test_shape_and_index_checks(self, tables, true_index, error, message):
+        with pytest.raises(error, match=message):
+            signals.SignalModel(tables, true_index)
 
 
 class TestLogBound:
     def test_uniform_binary(self):
-        m = make_model([UNINFORMATIVE_2, INFORMATIVE])
+        m = signals.SignalModel([UNINFORMATIVE_2, INFORMATIVE])
         # bound dominated by |ln 0.2| from the informative agent
         assert signals.log_bound_B(m) == pytest.approx(abs(math.log(0.2)))
 
     def test_all_half(self):
-        m = make_model([UNINFORMATIVE_2, UNINFORMATIVE_2, INFORMATIVE])
+        m = signals.SignalModel([UNINFORMATIVE_2, UNINFORMATIVE_2, INFORMATIVE])
         assert signals.log_bound_B(m) >= math.log(2)
 
     def test_uniform_quaternary(self):
         q = [[0.25] * 4, [0.25] * 4]
-        m = make_model([q, [[0.7, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0.7]]])
+        m = signals.SignalModel([q, [[0.7, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0.7]]])
         assert abs(math.log(0.25)) == pytest.approx(math.log(4))
         assert signals.log_bound_B(m) == pytest.approx(abs(math.log(0.1)))
 
@@ -53,18 +65,18 @@ class TestEquivalentStates:
     def test_uninformative_sees_all(self):
         uninf3 = [[0.5, 0.5]] * 3
         inf3 = [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]]
-        m = make_model([uninf3, inf3])
+        m = signals.SignalModel([uninf3, inf3])
         assert signals.equivalent_states(m, 0) == {0, 1, 2}
 
     def test_distinct_rows_single(self):
         inf3 = [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]]
-        m = make_model([[[0.5, 0.5]] * 3, inf3])
+        m = signals.SignalModel([[[0.5, 0.5]] * 3, inf3])
         assert signals.equivalent_states(m, 1) == {0}
 
     def test_duplicate_row(self):
         a = [[0.8, 0.2], [0.2, 0.8], [0.8, 0.2]]  # theta_3 row equals theta_1 row
         b = [[0.8, 0.2], [0.8, 0.2], [0.2, 0.8]]
-        m = make_model([a, b])
+        m = signals.SignalModel([a, b])
         assert signals.equivalent_states(m, 0) == {0, 2}
 
 
@@ -76,7 +88,7 @@ class TestPairwiseRate:
         )
 
     def test_duplication_invariance(self, two_agent_model):
-        doubled = make_model([INFORMATIVE, UNINFORMATIVE_2] * 2)
+        doubled = signals.SignalModel([INFORMATIVE, UNINFORMATIVE_2] * 2)
         assert signals.pairwise_rates(doubled)[1] == pytest.approx(
             signals.pairwise_rates(two_agent_model)[1]
         )
@@ -95,7 +107,7 @@ class TestSecondState:
     def test_picks_minimum_rate(self):
         # theta_2 strongly separated, theta_3 weakly separated
         a = [[0.8, 0.2], [0.2, 0.8], [0.6, 0.4]]
-        m = make_model([a, [[0.5, 0.5]] * 3])
+        m = signals.SignalModel([a, [[0.5, 0.5]] * 3])
         k, rate = signals.second_state(m)
         assert k == 2
         assert rate == pytest.approx(signals.pairwise_rates(m)[2])
@@ -117,7 +129,7 @@ class TestSampling:
     def test_near_degenerate_row(self):
         eps = 1e-13
         t = [[1 - eps, eps], [0.5, 0.5]]
-        m = make_model([t, INFORMATIVE])
+        m = signals.SignalModel([t, INFORMATIVE])
         rng = np.random.default_rng(0)
         draws = np.array([signals.sample_step(m, rng)[0] for _ in range(2000)])
         assert np.all(draws == 0)
@@ -131,21 +143,21 @@ class TestSampling:
 
 class TestLogMarginals:
     def test_uninformative(self):
-        m = make_model([UNINFORMATIVE_2, INFORMATIVE])
+        m = signals.SignalModel([UNINFORMATIVE_2, INFORMATIVE])
         np.testing.assert_allclose(
             signals.log_marginal_vector(m, 0, 0), [math.log(0.5)] * 2
         )
 
     def test_informative_symbol0(self):
-        m = make_model([UNINFORMATIVE_2, INFORMATIVE])
+        m = signals.SignalModel([UNINFORMATIVE_2, INFORMATIVE])
         np.testing.assert_allclose(
             signals.log_marginal_vector(m, 1, 0), [math.log(0.8), math.log(0.2)]
         )
 
     def test_bounded_by_B(self, reference_model):
         B = signals.log_bound_B(reference_model)
-        for i, agent in enumerate(reference_model.agents):
-            for s in range(agent.alphabet_size):
+        for i, table in enumerate(reference_model.tables):
+            for s in range(table.shape[1]):
                 v = signals.log_marginal_vector(reference_model, i, s)
                 assert np.all(np.abs(v) <= B + 1e-12)
 
