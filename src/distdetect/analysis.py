@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import detection, network, signals
-from .errors import DegenerateInputs, InvalidScenario
+from . import network, signals
+from .errors import DistDetectError
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,19 +146,19 @@ def _tv_error(mu, true: int):
 def _per_trial(trials, axes: dict, fill=None) -> np.ndarray:
     """A float array of shape (len(trials), *axes.values()), filled with `fill` if given.
 
-    Raises DegenerateInputs naming the trial count and the named axes when
+    Raises DistDetectError naming the trial count and the named axes when
     the array cannot be held.
     """
     try:
         R = len(trials)
     except OverflowError as exc:  # a range longer than a C size
-        raise DegenerateInputs(
+        raise DistDetectError(
             f"{trials!r} has more than {sys.maxsize} trials, too many to hold") from exc
     shape = (R, *axes.values())
     try:
         return np.empty(shape) if fill is None else np.full(shape, fill)
     except (ValueError, MemoryError) as exc:  # ValueError: beyond numpy's largest shape
-        raise DegenerateInputs(
+        raise DistDetectError(
             f"an array of trials x {' x '.join(axes)} = {' x '.join(map(str, shape))} "
             f"values is too large to hold: {exc}") from exc
 
@@ -203,6 +203,17 @@ def theorem1_bound(B, I, m, n, delta, sigma2_w) -> BoundReport:
     )
 
 
+def theorem1_learning_rate(B: float, n: int, sigma2_w: float) -> float:
+    """The spectral-gap-scaled learning rate (1 - sigma2) / (16 B log n)."""
+    if n < 2:
+        raise DistDetectError(f"need n >= 2, got {n}")
+    if not 0 <= sigma2_w < 1:
+        raise DistDetectError(f"sigma2 must lie in [0, 1), got {sigma2_w}")
+    if B <= 0:
+        raise DistDetectError(f"log bound B must be positive, got {B}")
+    return (1.0 - sigma2_w) / (16.0 * B * math.log(n))
+
+
 def prop1_log_tv_bound(B, I, m, n, delta, sigma2_w, t, eta=1.0) -> BoundReport:
     """Anytime high-probability bound on log ||mu_{i,t} - e_true||_TV (natural log).
 
@@ -211,7 +222,7 @@ def prop1_log_tv_bound(B, I, m, n, delta, sigma2_w, t, eta=1.0) -> BoundReport:
     """
     _check_bound_inputs(B=B, I=I, m=m, n=n, delta=delta, sigma2_w=sigma2_w)
     if t < 1:
-        raise DegenerateInputs(f"t must be >= 1, got {t}")
+        raise DistDetectError(f"t must be >= 1, got {t}")
     terms = {
         "rate": -eta * I * t,
         "fluctuation": eta * math.sqrt(2.0 * B**2 * t * math.log(m / delta)),
@@ -228,13 +239,13 @@ def prop1_log_tv_bound(B, I, m, n, delta, sigma2_w, t, eta=1.0) -> BoundReport:
 
 def _check_bound_inputs(*, B, I, m, n, delta, sigma2_w):
     if n < 2 or m < 2:
-        raise DegenerateInputs(f"need n >= 2 and m >= 2, got n={n}, m={m}")
+        raise DistDetectError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
     if B <= 0 or I <= 0:
-        raise DegenerateInputs(f"need B > 0 and I > 0, got B={B}, I={I}")
+        raise DistDetectError(f"need B > 0 and I > 0, got B={B}, I={I}")
     if not 0 < delta < 1:
-        raise DegenerateInputs(f"delta must lie in (0, 1), got {delta}")
+        raise DistDetectError(f"delta must lie in (0, 1), got {delta}")
     if not 0 <= sigma2_w < 1:
-        raise DegenerateInputs(f"sigma2 must lie in [0, 1), got {sigma2_w}")
+        raise DistDetectError(f"sigma2 must lie in [0, 1), got {sigma2_w}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,11 +266,11 @@ class Scenario:
 
     def __post_init__(self):
         if self.process.n != self.model.n:
-            raise InvalidScenario(f"network has n={self.process.n} agents "
+            raise DistDetectError(f"network has n={self.process.n} agents "
                                   f"but signal model has n={self.model.n}")
         w_bar = network.expected_matrix(self.process)
         if not network.check_expected_connectivity(w_bar):
-            raise InvalidScenario("network is not connected in expectation (A3 violated)")
+            raise DistDetectError("network is not connected in expectation (A3 violated)")
         object.__setattr__(self, "w_bar", w_bar)
 
 
@@ -271,7 +282,7 @@ def bound_inputs(sc: Scenario):
     if sc.learning_rate == "unit":
         eta = 1.0
     elif sc.learning_rate == "theorem1":
-        eta = detection.theorem1_learning_rate(B, sc.model.n, s2)
+        eta = theorem1_learning_rate(B, sc.model.n, s2)
     else:
         eta = float(sc.learning_rate)
     return B, k2, rate, s2, eta
@@ -311,9 +322,9 @@ def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list
     non-finite statistic.
     """
     if which not in ("theorem1", "prop1"):
-        raise ValueError(f"unknown verification target {which!r}")
+        raise DistDetectError(f"unknown verification target {which!r}")
     if R < 1:
-        raise ValueError("need at least one trial")
+        raise DistDetectError("need at least one trial")
     B, _, I, s2, eta = bound_inputs(sc)
     m, n, delta = sc.model.m, sc.model.n, sc.delta
     if which == "theorem1":

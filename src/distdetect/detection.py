@@ -7,12 +7,13 @@ averaging its potentials over agents reproduces the centralized potential
 exactly when both are driven by the same signal stream.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputs, DimensionMismatch
+# re-exported: perfbench's theorem1 check reads the learning rate from the oracle
+from .analysis import theorem1_learning_rate  # noqa: F401
+from .errors import DistDetectError
 from .prob import gibbs_belief
 from .signals import log_marginal_vector
 
@@ -56,11 +57,11 @@ def decentralized_step(state: DecentralizedState, w, sample, model) -> Decentral
     """phi <- W phi + Psi: neighbor-averaged potentials plus fresh log-marginals."""
     w = np.asarray(w, dtype=float)
     if w.shape != (state.phi.shape[0], state.phi.shape[0]):
-        raise DimensionMismatch(
+        raise DistDetectError(
             f"mixing matrix shape {w.shape} does not match {state.phi.shape[0]} agents"
         )
     if len(sample) != state.phi.shape[0] or model.n != state.phi.shape[0]:
-        raise DimensionMismatch("sample / model size does not match engine state")
+        raise DistDetectError("sample / model size does not match engine state")
     psi = log_marginal_matrix(model, sample)
     return replace(state, phi=w @ state.phi + psi, t=state.t + 1)
 
@@ -83,12 +84,12 @@ def closed_form_phi(matrices, psis, i: int) -> np.ndarray:
     """
     psis = np.asarray(psis, dtype=float)
     if psis.ndim != 3:
-        raise DimensionMismatch("psis must be a t x n x m tensor")
+        raise DistDetectError("psis must be a t x n x m tensor")
     t, n, m = psis.shape
     if len(matrices) != t:
-        raise DimensionMismatch(f"{len(matrices)} matrices for {t} rounds")
+        raise DistDetectError(f"{len(matrices)} matrices for {t} rounds")
     if not 0 <= i < n:
-        raise DimensionMismatch(f"agent index {i} outside [0, {n})")
+        raise DistDetectError(f"agent index {i} outside [0, {n})")
     row = np.zeros(n)
     row[i] = 1.0
     phi = np.zeros(m)
@@ -96,14 +97,3 @@ def closed_form_phi(matrices, psis, i: int) -> np.ndarray:
         phi += row @ psis[tau - 1]
         row = row @ np.asarray(matrices[tau - 1], dtype=float)
     return phi
-
-
-def theorem1_learning_rate(B: float, n: int, sigma2_w: float) -> float:
-    """The spectral-gap-scaled learning rate (1 - sigma2) / (16 B log n)."""
-    if n < 2:
-        raise DegenerateInputs(f"need n >= 2, got {n}")
-    if not 0 <= sigma2_w < 1:
-        raise DegenerateInputs(f"sigma2 must lie in [0, 1), got {sigma2_w}")
-    if B <= 0:
-        raise DegenerateInputs(f"log bound B must be positive, got {B}")
-    return (1.0 - sigma2_w) / (16.0 * B * math.log(n))

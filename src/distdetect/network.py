@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputs, DimensionMismatch, IsolatedAgent
+from .errors import DistDetectError
 
 MATRIX_TOL = 1e-12
 POSITIVE_ENTRY_TOL = 1e-12  # threshold for "edge present" in connectivity checks
@@ -22,17 +22,17 @@ def validate_mixing(entries) -> np.ndarray:
     """Check nonnegativity, symmetry and unit row sums; return the array."""
     w = np.asarray(entries, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DimensionMismatch(f"mixing matrix must be square, got shape {w.shape}")
+        raise DistDetectError(f"mixing matrix must be square, got shape {w.shape}")
     if w.shape[0] < 2:
-        raise ValueError("mixing matrix needs n >= 2")
+        raise DistDetectError("mixing matrix needs n >= 2")
     if not np.isfinite(w).all():
-        raise ValueError("mixing matrix has non-finite entries")
+        raise DistDetectError("mixing matrix has non-finite entries")
     if w.min() < -MATRIX_TOL:
-        raise ValueError("mixing matrix has negative entries")
+        raise DistDetectError("mixing matrix has negative entries")
     if np.abs(w - w.T).max() > MATRIX_TOL:
-        raise ValueError("mixing matrix is not symmetric")
+        raise DistDetectError("mixing matrix is not symmetric")
     if np.abs(w.sum(axis=1) - 1.0).max() > MATRIX_TOL:
-        raise ValueError("mixing matrix rows do not sum to 1")
+        raise DistDetectError("mixing matrix rows do not sum to 1")
     return w
 
 
@@ -46,9 +46,9 @@ class Graph:
         for i, j in self.edges:
             i, j = operator.index(i), operator.index(j)
             if i == j:
-                raise ValueError(f"self-loop on vertex {i}")
+                raise DistDetectError(f"self-loop on vertex {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) outside vertex range [0,{self.n})")
+                raise DistDetectError(f"edge ({i},{j}) outside vertex range [0,{self.n})")
             norm.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", frozenset(norm))
 
@@ -148,7 +148,7 @@ def gossip_process(graph: Graph) -> NetworkProcess:
     """
     deg = graph.degrees()
     if not deg.all():
-        raise IsolatedAgent(f"vertex {int(np.argmin(deg))} has no neighbors")
+        raise DistDetectError(f"vertex {int(np.argmin(deg))} has no neighbors")
     pairs = np.array(sorted(graph.edges), dtype=np.intp)
     i, j = pairs.T
     probs = (1.0 / graph.n) * (1.0 / deg[i]) + (1.0 / graph.n) * (1.0 / deg[j])
@@ -159,16 +159,16 @@ def finite_support_process(pairs) -> NetworkProcess:
     """pairs: iterable of (matrix, probability); probabilities must sum to 1."""
     support = [(validate_mixing(m), float(p)) for m, p in pairs]
     if not support:
-        raise ValueError("finite-support process needs at least one matrix")
+        raise DistDetectError("finite-support process needs at least one matrix")
     n = support[0][0].shape[0]
     for w, p in support:
         if w.shape[0] != n:
-            raise DimensionMismatch("finite-support matrices have inconsistent sizes")
+            raise DistDetectError("finite-support matrices have inconsistent sizes")
         if not p > 0:
-            raise ValueError(f"nonpositive probability {p}")
+            raise DistDetectError(f"nonpositive probability {p}")
     probs = np.array([p for _, p in support])
     if not abs(probs.sum() - 1.0) <= MATRIX_TOL:
-        raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+        raise DistDetectError(f"probabilities sum to {probs.sum()!r}, not 1")
     return NetworkProcess(n=n, probs=probs, atoms=np.stack([w for w, _ in support]))
 
 
@@ -239,7 +239,7 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
     t_values = [operator.index(t) for t in t_values]
     for t in t_values:
         if not 1 <= t <= T_MAX:
-            raise DegenerateInputs(f"t must lie in [1, {T_MAX}], got {t}")
+            raise DistDetectError(f"t must lie in [1, {T_MAX}], got {t}")
     t_values = np.array(t_values, dtype=np.int64)
     w = validate_mixing(w)
     n = w.shape[0]

@@ -1,4 +1,4 @@
-"""Probability-simplex primitives: KL, total variation, exponential-weights beliefs.
+"""Probability-simplex primitives of the test oracle: KL and exponential-weights beliefs.
 
 All logarithms are natural (nats). Beliefs are plain numpy arrays; use
 ``as_belief`` to validate one. Inputs outside the simplex tolerance are
@@ -7,7 +7,7 @@ rejected, never silently renormalized.
 
 import numpy as np
 
-from .errors import AbsoluteContinuityViolation, NonFiniteInput, SimplexViolation
+from .errors import DistDetectError
 
 SIMPLEX_TOL = 1e-12
 
@@ -16,13 +16,13 @@ def as_belief(probs) -> np.ndarray:
     """Validate a length-m probability vector and return it as a float array."""
     mu = np.asarray(probs, dtype=float)
     if mu.ndim != 1 or mu.size < 1:
-        raise SimplexViolation(f"expected a 1-d vector, got shape {mu.shape}")
+        raise DistDetectError(f"expected a 1-d vector, got shape {mu.shape}")
     if not np.all(np.isfinite(mu)):
-        raise SimplexViolation("belief contains non-finite entries")
+        raise DistDetectError("belief contains non-finite entries")
     if np.any(mu < 0):
-        raise SimplexViolation(f"negative entry in belief: {mu}")
+        raise DistDetectError(f"negative entry in belief: {mu}")
     if abs(mu.sum() - 1.0) > SIMPLEX_TOL:
-        raise SimplexViolation(f"belief sums to {mu.sum()!r}, not 1")
+        raise DistDetectError(f"belief sums to {mu.sum()!r}, not 1")
     return mu
 
 
@@ -31,22 +31,13 @@ def kl_divergence(mu, pi) -> float:
     mu = as_belief(mu)
     pi = as_belief(pi)
     if mu.shape != pi.shape:
-        raise SimplexViolation("KL divergence needs equal-length distributions")
+        raise DistDetectError("KL divergence needs equal-length distributions")
     support = mu > 0
     if np.any(pi[support] == 0):
-        raise AbsoluteContinuityViolation("mu puts mass where pi is zero")
+        raise DistDetectError("mu puts mass where pi is zero")
     d = float(np.sum(mu[support] * np.log(mu[support] / pi[support])))
     # tiny negatives are rounding noise on identical inputs
     return max(d, 0.0)
-
-
-def tv_distance(mu, pi) -> float:
-    """Total variation distance (1/2) sum_k |mu(k) - pi(k)|, in [0, 1]."""
-    mu = as_belief(mu)
-    pi = as_belief(pi)
-    if mu.shape != pi.shape:
-        raise SimplexViolation("TV distance needs equal-length distributions")
-    return 0.5 * float(np.abs(mu - pi).sum())
 
 
 def gibbs_belief(phi, eta: float) -> np.ndarray:
@@ -57,17 +48,10 @@ def gibbs_belief(phi, eta: float) -> np.ndarray:
     """
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)):
-        raise NonFiniteInput("potential vector contains non-finite entries")
+        raise DistDetectError("potential vector contains non-finite entries")
     if eta <= 0:
-        raise ValueError(f"learning rate must be positive, got {eta}")
+        raise DistDetectError(f"learning rate must be positive, got {eta}")
     z = eta * phi
     z -= z.max()
     w = np.exp(z)
     return w / w.sum()
-
-
-def delta_belief(m: int, k: int) -> np.ndarray:
-    """Point mass on component k of an m-state simplex."""
-    e = np.zeros(m)
-    e[k] = 1.0
-    return e

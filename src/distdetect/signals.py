@@ -11,12 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadRowSum,
-    DimensionMismatch,
-    NotIdentifiable,
-    ZeroLikelihoodEntry,
-)
+from .errors import DistDetectError
 
 ROW_SUM_TOL = 1e-12
 EQUIV_TOL = 1e-12  # per-entry tolerance for observational equivalence
@@ -51,33 +46,33 @@ def validate_model(model) -> None:
     2-d tables, m >= 2, the true index, one row per state, positive entries, rows
     summing to 1 and global identifiability."""
     if model.n < 2:
-        raise ValueError(f"need at least 2 agents, got {model.n}")
+        raise DistDetectError(f"need at least 2 agents, got {model.n}")
     for i, t in enumerate(model.tables):
         if t.ndim != 2:
-            raise DimensionMismatch(
+            raise DistDetectError(
                 f"agent {i} table has shape {t.shape}; it must be 2-d (states x symbols)")
     m, true = model.m, model.true_index
     if m < 2:
-        raise ValueError(f"need at least 2 states, got m={m}")
+        raise DistDetectError(f"need at least 2 states, got m={m}")
     if not 0 <= true < m:
-        raise ValueError(f"true_index {true} outside [0, {m})")
+        raise DistDetectError(f"true_index {true} outside [0, {m})")
     for i, t in enumerate(model.tables):
         if t.shape[0] != m:
-            raise DimensionMismatch(
+            raise DistDetectError(
                 f"agent {i} table has {t.shape[0]} rows, model has {m} states"
             )
         if not np.all(t > 0):
-            raise ZeroLikelihoodEntry(
+            raise DistDetectError(
                 f"agent {i} table has a non-positive or NaN entry; log-bound would be infinite"
             )
         sums = t.sum(axis=1)
         bad = np.abs(sums - 1.0) > ROW_SUM_TOL
         if np.any(bad):
-            raise BadRowSum(f"agent {i} rows {np.flatnonzero(bad).tolist()} sum to {sums[bad]}")
+            raise DistDetectError(f"agent {i} rows {np.flatnonzero(bad).tolist()} sum to {sums[bad]}")
 
     common = set.intersection(*(equivalent_states(model, i) for i in range(model.n)))
     if common != {true}:
-        raise NotIdentifiable(
+        raise DistDetectError(
             f"states {sorted(common - {true})} are observationally "
             "equivalent to the true state for every agent"
         )

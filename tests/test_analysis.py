@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distdetect import analysis, detection, network, signals
-from distdetect.errors import DegenerateInputs, InvalidScenario
+from distdetect import analysis, detection, network, prob, signals
+from distdetect.errors import DistDetectError
 
 from conftest import exp_gap_sums, random_mixing_matrix, rate_slope
 
@@ -47,10 +47,27 @@ class TestTheorem1Bound:
         assert totals[0] < totals[1] < totals[2]
 
     def test_degenerate_inputs(self):
-        with pytest.raises(DegenerateInputs):
+        with pytest.raises(DistDetectError, match=r"sigma2 must lie in \[0, 1\), got 1.0"):
             analysis.theorem1_bound(B=1, I=0.5, m=2, n=4, delta=0.1, sigma2_w=1.0)
-        with pytest.raises(DegenerateInputs):
+        with pytest.raises(DistDetectError, match="need B > 0 and I > 0, got B=1, I=0.0"):
             analysis.theorem1_bound(B=1, I=0.0, m=2, n=4, delta=0.1, sigma2_w=0.5)
+
+
+class TestLearningRate:
+    def test_hand_value(self):
+        assert analysis.theorem1_learning_rate(1.0, 2, 0.0) == pytest.approx(
+            1 / (16 * math.log(2))
+        )
+
+    def test_monotone_in_gap(self):
+        etas = [analysis.theorem1_learning_rate(1.0, 4, s) for s in (0.0, 0.3, 0.6, 0.9)]
+        assert all(b < a for a, b in zip(etas, etas[1:]))
+
+    def test_degenerate_inputs(self):
+        with pytest.raises(DistDetectError, match="need n >= 2, got 1"):
+            analysis.theorem1_learning_rate(1.0, 1, 0.5)
+        with pytest.raises(DistDetectError, match=r"sigma2 must lie in \[0, 1\), got 1.0"):
+            analysis.theorem1_learning_rate(1.0, 4, 1.0)
 
 
 class TestProp1Bound:
@@ -83,7 +100,7 @@ class TestProp1Bound:
         assert diffs[0] > diffs[1] > diffs[2] > -I
 
     def test_rejects_bad_t(self):
-        with pytest.raises(DegenerateInputs):
+        with pytest.raises(DistDetectError, match="t must be >= 1, got 0"):
             analysis.prop1_log_tv_bound(B=1, I=0.1, m=2, n=2, delta=0.1, sigma2_w=0.0, t=0)
 
     def test_potential_gap_terms_scale_with_eta(self):
@@ -140,7 +157,7 @@ class TestMonteCarlo:
         assert rep.violation_rate == rep.violations / 25
 
     def test_disconnected_process_rejected(self, reference_model):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(DistDetectError, match=r"not connected in expectation \(A3"):
             analysis.Scenario(
                 model=reference_model, process=network.fixed_process(np.eye(4)),
                 delta=0.1, horizon=30, checkpoints=(30,), learning_rate="unit",
@@ -310,21 +327,30 @@ def _oracle_replay(model, process, horizon, base_seed, trial):
 @settings(max_examples=60, deadline=None)
 @given(engine_cases())
 def test_batched_potentials_match_oracle(case):
+    # the metric reduction too: TV errors and KL increments at an eta other than 1
+    eta = 0.7
     model, process = _random_case(case["n"], case["m"], case["kind"], case["seed"])
     horizon, trials, seed = case["horizon"], case["trials"], case["seed"]
     blocks = list(analysis.potential_blocks(model, process, horizon, seed, range(trials)))
     dec = np.concatenate([d for _, _, d, _ in blocks])   # T x R x n x m
     cen = np.concatenate([c for _, _, _, c in blocks])   # T x R x m
     assert dec.shape == (horizon, trials, model.n, model.m)
+    batch = analysis.simulate_trials(model, process, eta, horizon, seed, range(trials))
+    truth = np.eye(model.m)[model.true_index]
     for r in range(trials):
         matrices, samples = _oracle_replay(model, process, horizon, seed, r)
-        d = detection.initial_decentralized(model.n, model.m, eta=1.0)
-        c = detection.initial_centralized(model.m, eta=1.0)
+        d = detection.initial_decentralized(model.n, model.m, eta=eta)
+        c = detection.initial_centralized(model.m, eta=eta)
         for t, (w, sample) in enumerate(zip(matrices, samples)):
             d = detection.decentralized_step(d, w, sample, model)
             c = detection.centralized_step(c, sample, model)
             assert np.abs(dec[t, r] - d.phi).max() <= 1e-8
             assert np.abs(cen[t, r] - c.phi).max() <= 1e-8
+            mu_c = detection.centralized_belief(c)
+            assert abs(batch.centralized_tv[r, t] - 0.5 * np.abs(mu_c - truth).sum()) <= 1e-8
+            for i, mu in enumerate(detection.beliefs(d)):
+                assert abs(batch.tv_error[r, t, i] - 0.5 * np.abs(mu - truth).sum()) <= 1e-8
+                assert abs(batch.kl_increment[r, t, i] - prob.kl_divergence(mu, mu_c)) <= 1e-8
         psis = np.array([detection.log_marginal_matrix(model, s) for s in samples])
         for i in range(model.n):
             closed = detection.closed_form_phi(matrices, psis, i)

@@ -75,7 +75,7 @@ class TestConfigLoading:
     def test_unidentifiable_model_rejected(self, tmp_path):
         uninf = [[[0.5, 0.5]] * 3] * 4
         path = write_config(tmp_path, {"signal_model.agents": uninf})
-        with pytest.raises(ConfigInvalid, match="NotIdentifiable"):
+        with pytest.raises(ConfigInvalid, match="observationally equivalent"):
             load_config(path)
 
     def test_disconnected_network_rejected(self, tmp_path):
@@ -115,7 +115,7 @@ class TestSimulateCommand:
         uninf = [[[0.5, 0.5]] * 3] * 4
         path = write_config(tmp_path, {"signal_model.agents": uninf})
         assert cli.main(["simulate", str(path)]) == 2
-        assert "NotIdentifiable" in capsys.readouterr().err
+        assert "observationally equivalent" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path)
@@ -383,6 +383,20 @@ def test_package_import_leaves_numpy_unloaded():
     assert res.stdout.split() == ["False"], res.stderr
 
 
+def test_command_imports_no_oracle():
+    # the slow reference engines are for tests; the command must not load them
+    res = run_python(["-c", "import sys, distdetect.cli; print(*(m in sys.modules for m in "
+                            "('distdetect.detection', 'distdetect.prob')))"])
+    assert res.stdout.split() == ["False", "False"], res.stderr
+
+
+def test_module_entry_point_exits_2_without_traceback(tmp_path):
+    res = run_cli_process(["verify", str(tmp_path / "missing.yaml"), "--which", "prop1"])
+    assert res.returncode == 2, res.stderr
+    assert "missing.yaml" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 # prints OPENBLAS_THREAD_TIMEOUT as it is when numpy, and so OpenBLAS, first loads
 NUMPY_LOAD_SPY = """
 import os, sys
@@ -463,7 +477,8 @@ def test_artifacts_independent_of_thread_timeout(tmp_path):
     ({"network": {"kind": "fixed", "matrix": [0.5, 0.5]}},
      [], "matrix must be a list of equal-length lists"),
 ])
-def test_invalid_input_exits_2_without_traceback(tmp_path, overrides, flags, field):
+def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, overrides, flags, field):
+    # an exception escaping main would fail the test: that is the traceback
     if overrides == "missing":
         path = tmp_path / "missing.yaml"
     elif overrides == "malformed":
@@ -471,35 +486,38 @@ def test_invalid_input_exits_2_without_traceback(tmp_path, overrides, flags, fie
         path.write_text("signal_model: [unclosed\n")
     else:
         path = write_config(tmp_path, overrides)
-    res = run_cli_process(["verify", str(path), "--which", "prop1", *flags])
-    assert res.returncode == 2, res.stderr
-    assert field in res.stderr
-    assert "Traceback" not in res.stderr
+    code = cli.main(["verify", str(path), "--which", "prop1", *flags])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert field in err
+    assert "Traceback" not in err
 
 
-def test_oversized_simulate_exits_2(tmp_path):
+def test_oversized_simulate_exits_2(tmp_path, capsys):
     # a horizon within [1, 2^63 - 1] whose shape numpy refuses outright, so
     # nothing is allocated (a larger one is refused when the config loads)
     path = write_config(tmp_path, {"horizon": 2**62})
-    res = run_cli_process(["simulate", str(path)])
-    assert res.returncode == 2, res.stderr
-    assert "trials x horizon x n" in res.stderr
-    assert "Traceback" not in res.stderr
+    code = cli.main(["simulate", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "trials x horizon x n" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("trials", [10**30, 2**62], ids=["beyond-C-size", "beyond-numpy"])
 @pytest.mark.parametrize("command", [
     ["simulate"], ["verify", "--which", "theorem1"], ["verify", "--which", "prop1"],
 ], ids=lambda c: c[-1])
-def test_oversized_trial_count_exits_2(tmp_path, command, trials):
+def test_oversized_trial_count_exits_2(tmp_path, capsys, command, trials):
     # both counts are refused before anything is allocated or any directory made
     path = write_config(tmp_path)
     out = tmp_path / "new" / "out"
-    res = run_cli_process([command[0], str(path), *command[1:], "--trials", str(trials),
-                           "--output-dir", str(out)])
-    assert res.returncode == 2, res.stderr
-    assert "trials" in res.stderr
-    assert "Traceback" not in res.stderr
+    code = cli.main([command[0], str(path), *command[1:], "--trials", str(trials),
+                     "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "trials" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "new").exists()
 
 

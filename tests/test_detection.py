@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distdetect import detection, network, signals
-from distdetect.errors import DegenerateInputs, DimensionMismatch
+from distdetect.errors import DistDetectError
 
 from conftest import INFORMATIVE, UNINFORMATIVE_2, random_mixing_matrix
 
@@ -73,7 +73,7 @@ class TestDecentralized:
 
     def test_dimension_mismatch(self, sym_pair_model):
         state = detection.initial_decentralized(2, 2, eta=1.0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DistDetectError, match=r"shape \(3, 3\) does not match 2 agents"):
             detection.decentralized_step(state, np.eye(3), [0, 1], sym_pair_model)
 
 
@@ -173,23 +173,6 @@ class TestInvariants:
                 tv = mu[1] + mu[2]
                 gap_sum = math.exp(row[1] - row[0]) + math.exp(row[2] - row[0])
                 assert tv <= gap_sum + 1e-12
-
-
-class TestLearningRate:
-    def test_hand_value(self):
-        assert detection.theorem1_learning_rate(1.0, 2, 0.0) == pytest.approx(
-            1 / (16 * math.log(2))
-        )
-
-    def test_monotone_in_gap(self):
-        etas = [detection.theorem1_learning_rate(1.0, 4, s) for s in (0.0, 0.3, 0.6, 0.9)]
-        assert all(b < a for a, b in zip(etas, etas[1:]))
-
-    def test_degenerate_inputs(self):
-        with pytest.raises(DegenerateInputs):
-            detection.theorem1_learning_rate(1.0, 1, 0.5)
-        with pytest.raises(DegenerateInputs):
-            detection.theorem1_learning_rate(1.0, 4, 1.0)
 
 
 def test_oracle_equivalence_random_instances():
