@@ -75,9 +75,9 @@ def potential_blocks(model, process, horizon: int, base_seed: int, trials):
 
     Trial r draws k + n uniforms per step from `trial_rng(base_seed, r)`: the
     process's k = `uniforms` first, then one per agent, turned into its
-    signal by inverse CDF, as `process.draw` then `signals.sample_step` would.
-    Group and block sizes change neither the stream nor the arithmetic of
-    any trial.
+    signal by inverse CDF, as `detection.draw_mixing` then
+    `signals.sample_step` would. Group and block sizes change neither the
+    stream nor the arithmetic of any trial.
     """
     n, m = model.n, model.m
     k = process.uniforms
@@ -94,7 +94,7 @@ def potential_blocks(model, process, horizon: int, base_seed: int, trials):
             u = np.stack([g.random((steps, k + n)) for g in rngs], axis=1)
             symbols = sum(_columns(cdf <= u[..., k:, None]))
             psi = logtab[agents, symbols]
-            dec = process.advance(phi, u[..., :k], psi, np.empty_like(psi))
+            dec = process.advance(phi, u[..., :k], psi)
             phi = dec[-1]
             # accumulate from the carried value so sums run in step order
             cen = np.cumsum(np.concatenate([cen, psi.mean(axis=2)]), axis=0)[1:]

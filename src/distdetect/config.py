@@ -96,8 +96,9 @@ def build_config(raw: dict) -> ScenarioConfig:
         return _build_config(raw)
     except ConfigInvalid:
         raise
-    except (DistDetectError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"{type(exc).__name__}: {exc}") from exc
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        prefix = "" if isinstance(exc, DistDetectError) else f"{type(exc).__name__}: "
+        raise ConfigInvalid(prefix + str(exc)) from exc
 
 
 def _build_config(raw: dict) -> ScenarioConfig:

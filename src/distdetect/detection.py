@@ -15,7 +15,6 @@ import numpy as np
 from .analysis import theorem1_learning_rate  # noqa: F401
 from .errors import DistDetectError
 from .prob import gibbs_belief
-from .signals import log_marginal_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +40,26 @@ def initial_decentralized(n: int, m: int, eta: float) -> DecentralizedState:
 
 
 def log_marginal_matrix(model, sample) -> np.ndarray:
-    """n x m matrix whose row i is agent i's log-marginal vector for its symbol."""
-    return np.stack(
-        [log_marginal_vector(model, i, int(s)) for i, s in enumerate(sample)]
-    )
+    """n x m matrix whose row i is (log l_i(s_i | theta_k))_k for agent i's symbol s_i."""
+    return np.stack([np.log(t[:, int(s)]) for t, s in zip(model.tables, sample)])
+
+
+def draw_mixing(process, rng) -> np.ndarray:
+    """W(t) for one step of the process, spending `process.uniforms` uniforms of rng.
+
+    The uniform picks the atom by inverse CDF; pair atom (i, j) is written
+    out as I - (1/2)(e_i - e_j)(e_i - e_j)^T.
+    """
+    u = rng.random(process.uniforms)
+    a = 0
+    if process.uniforms:  # the CDF may end a rounding error short of 1
+        a = min(np.searchsorted(np.cumsum(process.probs), u[0], side="right"),
+                len(process.probs) - 1)
+    if process.atoms.ndim == 3:
+        return process.atoms[a]
+    d = np.zeros(process.n)
+    d[process.atoms[a]] = 1.0, -1.0
+    return np.eye(process.n) - 0.5 * np.outer(d, d)
 
 
 def centralized_step(state: CentralizedState, sample, model) -> CentralizedState:

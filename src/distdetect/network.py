@@ -56,22 +56,6 @@ class Graph:
         return np.bincount([v for e in self.edges for v in e], minlength=self.n)
 
 
-def cycle_graph(n: int) -> Graph:
-    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
-def star_graph(n: int) -> Graph:
-    return Graph(n, frozenset((0, j) for j in range(1, n)))
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkProcess:
     """I.i.d. draws W(t) from a distribution over K mixing atoms.
@@ -103,20 +87,15 @@ class NetworkProcess:
         return np.minimum(np.searchsorted(self._cdf, u[..., 0], side="right"),
                           len(self.probs) - 1)
 
-    def draw(self, rng) -> np.ndarray:
-        a = self._pick(rng.random(self.uniforms))
-        if self.atoms.ndim == 3:
-            return self.atoms[a]
-        return pair_average_matrix(self.n, *self.atoms[a])
-
-    def advance(self, phi, u, psi, out):
-        """Fill and return out[s] = W(t0+s) out[s-1] + psi[s], starting from out[-1] = phi.
+    def advance(self, phi, u, psi):
+        """Return out with out[s] = W(t0+s) out[s-1] + psi[s], starting from out[-1] = phi.
 
         A block of steps: psi is (steps, R, n, m), u (steps, R, uniforms) and
         phi (R, n, m), left unchanged. Atoms are picked once per block; pair
         atoms are averaged on a copy of phi, without an n x n matrix.
         """
         steps, R, n, m = psi.shape
+        out = np.empty_like(psi)
         a = np.broadcast_to(self._pick(u), (steps, R))
         if self.atoms.ndim == 3:
             fixed = self.atoms[0] if len(self.probs) == 1 else None
@@ -183,14 +162,6 @@ def metropolis_matrix(g: Graph) -> np.ndarray:
     return validate_mixing(w)
 
 
-def pair_average_matrix(n: int, i: int, j: int) -> np.ndarray:
-    """I - (1/2)(e_i - e_j)(e_i - e_j)^T: agents i and j average their state."""
-    w = np.eye(n)
-    w[i, i] = w[j, j] = 0.5
-    w[i, j] = w[j, i] = 0.5
-    return w
-
-
 def expected_matrix(p: NetworkProcess) -> np.ndarray:
     """E[W(t)] = sum_a p_a W_a, added in atom order.
 
@@ -233,24 +204,31 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
     """sum_{tau=1}^{t} sum_j |[W^{t-tau}]_ij - 1/n| for every t in t_values and agent i.
 
     Returns a (len(t_values), n) array whose rows follow t_values, which may
-    come in any order and repeat. One pass of P <- P W up to max(t_values)
-    keeps a running per-agent sum, read off at each requested t.
+    come in any order and repeat. One pass over the powers of C = W - J/n
+    (C^s = W^s - J/n for s >= 1, so no term cancels against 1/n) keeps a
+    running per-agent sum, read off at each requested t. Row i of C^s has l1
+    norm at most sqrt(n) rho^s for rho = ||C^s||_F^(1/s) >= ||C||_2; the pass
+    stops once the bound on all later terms is below half an ulp of every
+    sum, which never happens when ||C||_2 = 1 (a periodic network).
     """
     t_values = [operator.index(t) for t in t_values]
     for t in t_values:
         if not 1 <= t <= T_MAX:
             raise DistDetectError(f"t must lie in [1, {T_MAX}], got {t}")
-    t_values = np.array(t_values, dtype=np.int64)
     w = validate_mixing(w)
     n = w.shape[0]
     wanted, rows = np.unique(t_values, return_inverse=True)
     snapshots = np.empty((len(wanted), n))
-    power, total, k = np.eye(n), np.zeros(n), 0
-    for t in range(1, int(wanted.max(initial=0)) + 1):
-        if t > 1:
-            power = power @ w
-        total += np.abs(power - 1.0 / n).sum(axis=1)  # adds power t-1
-        if t == wanted[k]:
-            snapshots[k] = total
-            k += 1
+    c = w - 1.0 / n
+    power, s = np.eye(n), 0
+    total = np.abs(power - 1.0 / n).sum(axis=1)  # holds the powers 0 .. s
+    for k, t in enumerate(wanted):
+        while s < t - 1:
+            power = power @ c
+            s += 1
+            total += np.abs(power).sum(axis=1)
+            rho = np.linalg.norm(power) ** (1.0 / s)
+            if rho < 1 and n**0.5 * rho ** (s + 1) / (1 - rho) < np.spacing(total.min()) / 2:
+                s = T_MAX  # converged: every larger t reads the same sums
+        snapshots[k] = total
     return snapshots[rows]

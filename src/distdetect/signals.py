@@ -130,11 +130,6 @@ def sample_step(model, rng) -> np.ndarray:
     return out
 
 
-def log_marginal_vector(model, agent: int, symbol: int) -> np.ndarray:
-    """(log l_agent(symbol | theta_k))_k; every entry lies in [-B, B]."""
-    return np.log(model.tables[agent][:, symbol])
-
-
 def padded_tables(model):
     """Sampling tables for all agents at once, padded to the largest alphabet A.
 

@@ -7,6 +7,30 @@ INFORMATIVE = [[0.8, 0.2], [0.2, 0.8]]
 UNINFORMATIVE_2 = [[0.5, 0.5], [0.5, 0.5]]
 
 
+def cycle_graph(n):
+    return network.Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+
+
+def path_graph(n):
+    return network.Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def complete_graph(n):
+    return network.Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def star_graph(n):
+    return network.Graph(n, frozenset((0, j) for j in range(1, n)))
+
+
+def pair_average_matrix(n, i, j):
+    """I - (1/2)(e_i - e_j)(e_i - e_j)^T: agents i and j average their state."""
+    w = np.eye(n)
+    w[i, i] = w[j, j] = 0.5
+    w[i, j] = w[j, i] = 0.5
+    return w
+
+
 @pytest.fixture
 def two_agent_model():
     """Agent 0 informative, agent 1 uninformative; m = 2."""
@@ -27,12 +51,12 @@ def reference_model():
 
 @pytest.fixture
 def reference_process():
-    return network.gossip_process(network.cycle_graph(4))
+    return network.gossip_process(cycle_graph(4))
 
 
 @pytest.fixture
 def path3_matrix():
-    return network.metropolis_matrix(network.path_graph(3))
+    return network.metropolis_matrix(path_graph(3))
 
 
 def random_mixing_matrix(rng, n):

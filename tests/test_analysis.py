@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from distdetect import analysis, detection, network, prob, signals
 from distdetect.errors import DistDetectError
 
-from conftest import exp_gap_sums, random_mixing_matrix, rate_slope
+from conftest import cycle_graph, exp_gap_sums, random_mixing_matrix, rate_slope
 
 
 class TestTheorem1Bound:
@@ -256,7 +256,7 @@ class TestBatchedEngine:
     def test_prop1_checkpoints_in_one_pass(self, reference_model, kind):
         # mid-block, on the STEP_BLOCK = 64 boundary, just past it, and later
         assert analysis.STEP_BLOCK == 64
-        g = network.cycle_graph(4)
+        g = cycle_graph(4)
         process = (network.gossip_process(g) if kind == "gossip"
                    else network.fixed_process(network.metropolis_matrix(g)))
         checkpoints = (10, 64, 65, 150)
@@ -319,7 +319,7 @@ def _oracle_replay(model, process, horizon, base_seed, trial):
     rng = analysis.trial_rng(base_seed, trial)
     matrices, samples = [], []
     for _ in range(horizon):
-        matrices.append(process.draw(rng))
+        matrices.append(detection.draw_mixing(process, rng))
         samples.append(signals.sample_step(model, rng))
     return matrices, samples
 
@@ -357,19 +357,18 @@ def test_batched_potentials_match_oracle(case):
             assert np.abs(dec[-1, r, i] - closed).max() <= 1e-8
 
 
-# public names that nothing in src/ loads, each kept on purpose
+# the modules `import distdetect.cli` loads; loads elsewhere, as in the oracle, are no use
+COMMAND_MODULES = ["analysis", "signals", "config", "cli", "errors", "network"]
+# public names that nothing in the command's modules loads, each kept on purpose
 UNUSED_IN_SRC = {
     "sample_step": "the oracle's signal draw, which the batched sampler is checked against",
-    "cycle_graph": "a graph fixture shared by the tests",
-    "path_graph": "a graph fixture shared by the tests",
-    "complete_graph": "a graph fixture shared by the tests",
-    "star_graph": "a graph fixture shared by the tests",
 }
 
 
-@pytest.mark.parametrize("module", ["analysis", "signals", "config", "cli", "errors", "network"])
+@pytest.mark.parametrize("module", COMMAND_MODULES)
 def test_every_public_name_is_used_in_src(module):
-    # a public name that only tests reach fails here, unless UNUSED_IN_SRC keeps it
+    # a public function, class, constant or method that only tests or the
+    # oracle reach fails here, unless UNUSED_IN_SRC keeps it
     def loads(tree):
         return Counter(node.id if isinstance(node, ast.Name) else node.attr
                        for node in ast.walk(tree)
@@ -377,16 +376,18 @@ def test_every_public_name_is_used_in_src(module):
                        and isinstance(node.ctx, ast.Load))
 
     src = Path(analysis.__file__).parent
-    used = sum((loads(ast.parse(p.read_text())) for p in src.glob("*.py")), Counter())
-    unused = []
+    used = sum((loads(ast.parse((src / f"{m}.py").read_text())) for m in COMMAND_MODULES),
+               Counter())
+    definitions = []
     for node in ast.parse((src / f"{module}.py").read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            definitions.append((node.name, node))
         elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        own = loads(node)  # a recursive call is no use from elsewhere
-        unused += [x for x in names if not x.startswith("_") and used[x] <= own[x]
-                   and x not in UNUSED_IN_SRC]
+            definitions += [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            definitions += [(f.name, f) for f in node.body if isinstance(f, ast.FunctionDef)]
+    unused = [name for name, node in definitions
+              # a recursive call is no use from elsewhere
+              if not name.startswith("_") and used[name] <= loads(node)[name]
+              and name not in UNUSED_IN_SRC]
     assert unused == []

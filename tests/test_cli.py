@@ -476,6 +476,10 @@ def test_artifacts_independent_of_thread_timeout(tmp_path):
      [], "agents must be a list of equal-length lists"),
     ({"network": {"kind": "fixed", "matrix": [0.5, 0.5]}},
      [], "matrix must be a list of equal-length lists"),
+    # a package error's message stands alone; a built-in error keeps its class name
+    ({"signal_model.agents": [[[0.5, 0.5], [0.5, 0.5]]] * 4}, [],
+     "config invalid: states [1] are observationally equivalent to the true state"),
+    ({"signal_model": {}}, [], "config invalid: KeyError: 'agents'"),
 ])
 def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, overrides, flags, field):
     # an exception escaping main would fail the test: that is the traceback

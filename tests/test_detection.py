@@ -6,7 +6,8 @@ import pytest
 from distdetect import detection, network, signals
 from distdetect.errors import DistDetectError
 
-from conftest import INFORMATIVE, UNINFORMATIVE_2, random_mixing_matrix
+from conftest import (INFORMATIVE, UNINFORMATIVE_2, cycle_graph, path_graph,
+                      random_mixing_matrix)
 
 
 @pytest.fixture
@@ -106,7 +107,7 @@ def _simulate_instance(model, process, horizon, rng):
     dec = detection.initial_decentralized(n, m, eta=1.0)
     cen = detection.initial_centralized(m, eta=1.0)
     for _ in range(horizon):
-        w = process.draw(rng)
+        w = detection.draw_mixing(process, rng)
         sample = signals.sample_step(model, rng)
         matrices.append(w)
         psis.append(detection.log_marginal_matrix(model, sample))
@@ -166,7 +167,7 @@ class TestInvariants:
         rng = np.random.default_rng(26)
         dec = detection.initial_decentralized(4, 3, eta=1.0)
         for _ in range(300):
-            w = reference_process.draw(rng)
+            w = detection.draw_mixing(reference_process, rng)
             sample = signals.sample_step(reference_model, rng)
             dec = detection.decentralized_step(dec, w, sample, reference_model)
             for row, mu in zip(dec.phi, detection.beliefs(dec)):
@@ -208,8 +209,8 @@ def _random_process(rng, n):
     if kind == 0:
         return network.fixed_process(random_mixing_matrix(rng, n))
     if kind == 1:
-        return network.gossip_process(network.cycle_graph(n)) if n > 2 else \
-            network.gossip_process(network.path_graph(2))
+        return network.gossip_process(cycle_graph(n)) if n > 2 else \
+            network.gossip_process(path_graph(2))
     mats = [random_mixing_matrix(rng, n) for _ in range(3)]
     probs = rng.uniform(0.1, 1.0, 3)
     probs /= probs.sum()

@@ -1,12 +1,31 @@
 import math
-from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distdetect import network
+from distdetect import detection, network
 from distdetect.errors import DistDetectError
+
+from conftest import complete_graph, cycle_graph, pair_average_matrix, path_graph, star_graph
+
+
+def draws(process, count, seed):
+    """`count` i.i.d. W(t): one `advance` step of `count` trials on phi = I and psi = 0.
+
+    Trial r's potentials after the step are W(t) I, so row r of the result is
+    the matrix that trial r's uniform picked.
+    """
+    n = process.n
+    u = np.random.default_rng(seed).random((1, count, process.uniforms))
+    phi = np.broadcast_to(np.eye(n), (count, n, n))
+    return process.advance(phi, u, np.zeros((1, count, n, n)))[0]
+
+
+def given_uniforms(u):
+    """A stand-in generator whose `random(k)` returns the first k entries of u."""
+    return SimpleNamespace(random=lambda k: np.asarray(u, dtype=float)[:k])
 
 
 class TestMetropolis:
@@ -19,7 +38,7 @@ class TestMetropolis:
         np.testing.assert_allclose(path3_matrix, expected, atol=1e-15)
 
     def test_complete2(self):
-        w = network.metropolis_matrix(network.complete_graph(2))
+        w = network.metropolis_matrix(complete_graph(2))
         np.testing.assert_allclose(w, 0.5, atol=1e-15)
 
     def test_edgeless_is_identity(self):
@@ -28,22 +47,18 @@ class TestMetropolis:
         assert not network.check_expected_connectivity(w)
 
     def test_positive_diagonal(self):
-        for g in (network.cycle_graph(5), network.star_graph(6), network.path_graph(4)):
+        for g in (cycle_graph(5), star_graph(6), path_graph(4)):
             assert np.all(np.diag(network.metropolis_matrix(g)) > 0)
 
 
 class TestGossip:
     def test_two_agents_deterministic(self):
-        g = network.path_graph(2)
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            np.testing.assert_allclose(network.gossip_process(g).draw(rng), 0.5)
+        for w in draws(network.gossip_process(path_graph(2)), 10, seed=3):
+            np.testing.assert_allclose(w, 0.5)
 
     def test_draws_are_valid_matrices(self):
-        g = network.cycle_graph(5)
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            network.validate_mixing(network.gossip_process(g).draw(rng))
+        for w in draws(network.gossip_process(cycle_graph(5)), 200, seed=4):
+            network.validate_mixing(w)
 
     def test_isolated_agent_rejected(self):
         g = network.Graph(3, frozenset({(0, 1)}))
@@ -52,17 +67,13 @@ class TestGossip:
 
     def test_triangle_pair_frequencies(self):
         # on a 3-cycle each unordered pair activates with probability 1/3
-        p = network.gossip_process(network.cycle_graph(3))
-        rng = np.random.default_rng(5)
-        counts = Counter()
+        p = network.gossip_process(cycle_graph(3))
         n_draws = 100_000
-        for _ in range(n_draws):
-            w = p.draw(rng)
-            i, j = np.argwhere(np.triu(w, 1) > 0)[0]
-            counts[(i, j)] += 1
+        w = draws(p, n_draws, seed=5)
+        assert np.all(np.count_nonzero(np.triu(w, 1), axis=(1, 2)) == 1)  # one pair each
         sigma = math.sqrt((1 / 3) * (2 / 3) / n_draws)
-        for pair in [(0, 1), (0, 2), (1, 2)]:
-            assert counts[pair] / n_draws == pytest.approx(1 / 3, abs=3 * sigma)
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            assert np.mean(w[:, i, j] > 0) == pytest.approx(1 / 3, abs=3 * sigma)
 
 
 def _gossip_closed_form(g):
@@ -84,7 +95,7 @@ KITE = network.Graph(5, frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)}))
 
 class TestAtoms:
     def test_gossip_atom_probabilities_on_irregular_graph(self):
-        for g in (network.star_graph(6), KITE):
+        for g in (star_graph(6), KITE):
             p = network.gossip_process(g)
             deg = [sum(1 for e in g.edges if v in e) for v in range(g.n)]
             assert p.atoms.tolist() == sorted(list(e) for e in g.edges)
@@ -93,8 +104,8 @@ class TestAtoms:
             assert p.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("g", [
-        network.path_graph(2), network.cycle_graph(3), network.star_graph(4),
-        network.star_graph(9), KITE, network.complete_graph(6), network.cycle_graph(256),
+        path_graph(2), cycle_graph(3), star_graph(4),
+        star_graph(9), KITE, complete_graph(6), cycle_graph(256),
     ], ids=lambda g: f"n{g.n}e{len(g.edges)}")
     def test_gossip_expected_matrix_matches_closed_form(self, g):
         w = network.expected_matrix(network.gossip_process(g))
@@ -103,18 +114,18 @@ class TestAtoms:
     def test_one_atom_draw_spends_no_uniform(self, path3_matrix):
         for p in (network.fixed_process(path3_matrix),
                   network.finite_support_process([(path3_matrix, 1.0)]),
-                  network.gossip_process(network.path_graph(2))):
+                  network.gossip_process(path_graph(2))):
             rng = np.random.default_rng(1)
             before = rng.bit_generator.state
-            p.draw(rng)
+            detection.draw_mixing(p, rng)
             assert p.uniforms == 0
             assert rng.bit_generator.state == before
 
     def test_many_atoms_draw_spends_one_uniform(self, path3_matrix):
-        for p in (network.gossip_process(network.cycle_graph(4)),
+        for p in (network.gossip_process(cycle_graph(4)),
                   network.finite_support_process([(path3_matrix, 0.5), (np.eye(3), 0.5)])):
             rng, twin = np.random.default_rng(2), np.random.default_rng(2)
-            p.draw(rng)
+            detection.draw_mixing(p, rng)
             twin.random()
             assert p.uniforms == 1
             assert rng.bit_generator.state == twin.bit_generator.state
@@ -124,38 +135,37 @@ class TestAtoms:
         cdf = np.cumsum(p.probs)
         for u, pair in ((0.0, (0, 1)), (cdf[0], (0, 2)), (cdf[3] - 1e-12, (0, 4)),
                         (np.nextafter(1.0, 0.0), (1, 2))):
-            want = network.pair_average_matrix(5, *pair)
+            want = pair_average_matrix(5, *pair)
             psi = np.zeros((1, 1, 5, 5))
-            got = p.advance(np.eye(5)[None], np.array([[[u]]]), psi, np.empty_like(psi))
+            got = p.advance(np.eye(5)[None], np.array([[[u]]]), psi)
             assert np.array_equal(got[0, 0], want)
+            assert np.array_equal(detection.draw_mixing(p, given_uniforms([u])), want)
 
     @pytest.mark.parametrize("process", [
         network.gossip_process(KITE),
-        network.gossip_process(network.path_graph(2)),  # one edge: no uniform spent
+        network.gossip_process(path_graph(2)),  # one edge: no uniform spent
         network.fixed_process(network.metropolis_matrix(KITE)),
         network.finite_support_process([
             (network.metropolis_matrix(KITE), 0.2),
-            (network.pair_average_matrix(5, 1, 3), 0.3),
-            (network.metropolis_matrix(network.cycle_graph(5)), 0.5),
+            (pair_average_matrix(5, 1, 3), 0.3),
+            (network.metropolis_matrix(cycle_graph(5)), 0.5),
         ]),
     ], ids=["gossip", "single-edge", "fixed", "finite-support"])
     def test_advance_matches_per_step_replay(self, process):
         # a block of 70 steps for 3 trials, against W(t) x + psi[t] one trial
-        # and one step at a time with the picked atom's matrix
+        # and one step at a time, W(t) drawn by the oracle from the same uniforms
         rng = np.random.default_rng(5)
         steps, R, n, m = 70, 3, process.n, 2
         phi = rng.normal(size=(R, n, m))
         u = rng.random((steps, R, process.uniforms))
         psi = rng.normal(size=(steps, R, n, m))
         phi0 = phi.copy()
-        got = process.advance(phi, u, psi, np.empty_like(psi))
+        got = process.advance(phi, u, psi)
         assert np.array_equal(phi, phi0)
         want, x = np.empty_like(psi), phi.copy()
         for s in range(steps):
             for r in range(R):
-                a = process._pick(u[s, r])
-                w = (process.atoms[a] if process.atoms.ndim == 3
-                     else network.pair_average_matrix(n, *process.atoms[a]))
+                w = detection.draw_mixing(process, given_uniforms(u[s, r]))
                 x[r] = w @ x[r] + psi[s, r]
             want[s] = x
         assert np.array_equal(got, want)
@@ -167,22 +177,18 @@ class TestExpectedMatrix:
         np.testing.assert_array_equal(network.expected_matrix(p), path3_matrix)
 
     def test_gossip_triangle_closed_form(self):
-        p = network.gossip_process(network.cycle_graph(3))
+        p = network.gossip_process(cycle_graph(3))
         expected = np.full((3, 3), 1 / 6) + np.eye(3) * 0.5
         np.testing.assert_allclose(network.expected_matrix(p), expected, atol=1e-15)
 
     def test_gossip_two_agents(self):
-        p = network.gossip_process(network.path_graph(2))
+        p = network.gossip_process(path_graph(2))
         np.testing.assert_allclose(network.expected_matrix(p), 0.5, atol=1e-15)
 
     def test_gossip_matches_empirical_mean(self):
-        p = network.gossip_process(network.star_graph(4))  # irregular degrees
-        rng = np.random.default_rng(6)
+        p = network.gossip_process(star_graph(4))  # irregular degrees
         n_draws = 100_000
-        acc = np.zeros((4, 4))
-        for _ in range(n_draws):
-            acc += p.draw(rng)
-        emp = acc / n_draws
+        emp = draws(p, n_draws, seed=6).mean(axis=0)
         # entrywise 3-sigma: each entry is an average of bounded (0..1) terms
         np.testing.assert_allclose(emp, network.expected_matrix(p), atol=3 * 0.5 / math.sqrt(n_draws) * 3)
 
@@ -195,9 +201,9 @@ class TestExpectedMatrix:
 
     def test_finite_support_mixes_supports_for_connectivity(self):
         # two disconnected pair-averages whose union connects 4 agents
-        w1 = network.pair_average_matrix(4, 0, 1)
-        w2 = network.pair_average_matrix(4, 2, 3)
-        w3 = network.pair_average_matrix(4, 1, 2)
+        w1 = pair_average_matrix(4, 0, 1)
+        w2 = pair_average_matrix(4, 2, 3)
+        w3 = pair_average_matrix(4, 1, 2)
         p = network.finite_support_process([(w1, 0.4), (w2, 0.4), (w3, 0.2)])
         assert network.check_expected_connectivity(network.expected_matrix(p))
 
@@ -227,7 +233,7 @@ class TestSigma2:
     def test_gossip_ring_closed_form(self, n):
         # E[W] = I - L/(2n) on the n-ring, so sigma2 = 1 - (1 - cos(2 pi/n))/n;
         # the gap is written as 2 sin^2(pi/n)/n to avoid cancellation
-        w = network.expected_matrix(network.gossip_process(network.cycle_graph(n)))
+        w = network.expected_matrix(network.gossip_process(cycle_graph(n)))
         gap = 2.0 * math.sin(math.pi / n) ** 2 / n
         assert 1.0 - network.sigma2(w) == pytest.approx(gap, rel=1e-9)
 
@@ -238,11 +244,11 @@ class TestConnectivity:
 
     def test_gossip_connected_base(self):
         assert network.check_expected_connectivity(
-            network.expected_matrix(network.gossip_process(network.cycle_graph(6)))
+            network.expected_matrix(network.gossip_process(cycle_graph(6)))
         )
 
     def test_connected_implies_subunit_sigma2(self):
-        for g in (network.cycle_graph(5), network.star_graph(7)):
+        for g in (cycle_graph(5), star_graph(7)):
             p = network.gossip_process(g)
             assert network.check_expected_connectivity(network.expected_matrix(p))
             assert network.sigma2(network.expected_matrix(p)) < 1
@@ -298,6 +304,23 @@ class TestMixingDeviation:
     def test_empty_t_list(self, path3_matrix):
         assert network.mixing_deviation_sum(path3_matrix, []).shape == (0, 3)
 
+    def test_vertex_transitive_agents_agree_past_convergence(self):
+        # every agent of a cycle sees the same deviations, so all sums agree
+        # to the last ulp, however far past convergence t is
+        w = network.metropolis_matrix(cycle_graph(8))
+        got = network.mixing_deviation_sum(w, [10**3, 10**5])
+        assert np.ptp(got, axis=1).max() <= np.spacing(got.max())
+
+    def test_largest_t_returns_converged_sums(self):
+        w = network.metropolis_matrix(cycle_graph(8))
+        got = network.mixing_deviation_sum(w, [network.T_MAX, 10**4])
+        assert np.array_equal(got[0], got[1])
+
+    def test_periodic_network_never_converges(self):
+        # the 2-agent swap has ||W - J/n||_2 = 1: each power adds 1 to each sum
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert network.mixing_deviation_sum(swap, [1000]).tolist() == [[1000.0, 1000.0]]
+
     @settings(max_examples=25, deadline=None)
     @given(deviation_cases())
     def test_matches_row_oracle(self, case):
@@ -310,19 +333,18 @@ class TestMixingDeviation:
 
 
 def test_product_of_draws_stays_doubly_stochastic():
-    p = network.gossip_process(network.cycle_graph(6))
-    rng = np.random.default_rng(10)
-    prod = np.eye(6)
-    for _ in range(1000):
-        prod = p.draw(rng) @ prod
+    # 1000 steps of one trial from phi = I: the last potentials are W(1000) ... W(1)
+    p = network.gossip_process(cycle_graph(6))
+    u = np.random.default_rng(10).random((1000, 1, p.uniforms))
+    prod = p.advance(np.eye(6)[None], u, np.zeros((1000, 1, 6, 6)))[-1, 0]
     assert np.abs(prod.sum(axis=0) - 1).max() <= 1e-9
     assert np.abs(prod.sum(axis=1) - 1).max() <= 1e-9
 
 
 def test_ones_is_stationary_for_expected_matrices():
     for p in (
-        network.gossip_process(network.star_graph(5)),
-        network.fixed_process(network.metropolis_matrix(network.cycle_graph(4))),
+        network.gossip_process(star_graph(5)),
+        network.fixed_process(network.metropolis_matrix(cycle_graph(4))),
     ):
         w = network.expected_matrix(p)
         np.testing.assert_allclose(np.ones(w.shape[0]) @ w, 1.0, atol=1e-12)

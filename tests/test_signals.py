@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distdetect import signals
+from distdetect import detection, signals
 from distdetect.errors import DistDetectError
 from distdetect.prob import kl_divergence
 
@@ -141,24 +141,25 @@ class TestSampling:
 
 
 class TestLogMarginals:
+    # row i of detection.log_marginal_matrix is (log l_i(s_i | theta_k))_k
     def test_uninformative(self):
         m = signals.SignalModel([UNINFORMATIVE_2, INFORMATIVE])
         np.testing.assert_allclose(
-            signals.log_marginal_vector(m, 0, 0), [math.log(0.5)] * 2
+            detection.log_marginal_matrix(m, [0, 0])[0], [math.log(0.5)] * 2
         )
 
     def test_informative_symbol0(self):
         m = signals.SignalModel([UNINFORMATIVE_2, INFORMATIVE])
         np.testing.assert_allclose(
-            signals.log_marginal_vector(m, 1, 0), [math.log(0.8), math.log(0.2)]
+            detection.log_marginal_matrix(m, [0, 0])[1], [math.log(0.8), math.log(0.2)]
         )
 
     def test_bounded_by_B(self, reference_model):
         B = signals.log_bound_B(reference_model)
-        for i, table in enumerate(reference_model.tables):
-            for s in range(table.shape[1]):
-                v = signals.log_marginal_vector(reference_model, i, s)
-                assert np.all(np.abs(v) <= B + 1e-12)
+        assert {t.shape[1] for t in reference_model.tables} == {2}
+        for s in range(2):
+            v = detection.log_marginal_matrix(reference_model, [s] * reference_model.n)
+            assert np.all(np.abs(v) <= B + 1e-12)
 
 
 def test_law_of_large_numbers(two_agent_model):
