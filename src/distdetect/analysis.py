@@ -10,43 +10,11 @@ delta plus three standard errors.
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import network, signals
 from .errors import DistDetectError
-
-
-@dataclass(frozen=True, eq=False)
-class TrialBatch:
-    """Per-step errors and costs of R trials run together; arrays lead with the trial axis."""
-
-    tv_error: np.ndarray          # R x T x n
-    kl_increment: np.ndarray      # R x T x n
-    centralized_tv: np.ndarray    # R x T
-    max_potential_gap: float      # over all trials and steps
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    total: float
-    terms: dict
-    inputs: dict
-    notes: str = ""
-
-
-@dataclass(frozen=True)
-class MonteCarloReport:
-    which: str
-    trials: int
-    violations: int
-    violation_rate: float
-    delta: float
-    slack: float
-    verdict: str  # "pass" | "fail"
-    bound: BoundReport
-    trial_stats: dict = field(default_factory=dict)
 
 
 def trial_rng(base_seed: int, trial: int):
@@ -163,9 +131,12 @@ def _per_trial(trials, axes: dict, fill=None) -> np.ndarray:
             f"values is too large to hold: {exc}") from exc
 
 
-def simulate_trials(model, process, eta: float, horizon: int, base_seed: int,
-                    trials) -> TrialBatch:
-    """Run both engines on common signal streams for `horizon` steps per trial."""
+def simulate_trials(model, process, eta: float, horizon: int, base_seed: int, trials):
+    """Run both engines on common signal streams for `horizon` steps per trial.
+
+    Returns (tv_error, kl_increment, centralized_tv, max_potential_gap): two
+    R x T x n arrays, one R x T array and the largest gap over all trials and steps.
+    """
     n, true = model.n, model.true_index
     series, per_step = {"horizon": horizon, "n": n}, {"horizon": horizon}
     tv, kl = _per_trial(trials, series), _per_trial(trials, series)
@@ -179,12 +150,13 @@ def simulate_trials(model, process, eta: float, horizon: int, base_seed: int,
         ctv[rows, steps] = _tv_error(mu_c, true).T
         gap = functools.reduce(np.maximum, _columns(np.abs(dec.mean(axis=2) - cen)))
         max_gap = np.maximum(max_gap, gap.max())
-    return TrialBatch(tv_error=tv, kl_increment=kl, centralized_tv=ctv,
-                      max_potential_gap=float(max_gap))
+    return tv, kl, ctv, float(max_gap)
 
 
-def theorem1_bound(B, I, m, n, delta, sigma2_w) -> BoundReport:
+def theorem1_bound(B, I, m, n, delta, sigma2_w) -> dict:
     """High-probability, time-independent bound on the cumulative KL cost.
+
+    Returns the bound as its report object: {"total", "terms", "inputs", "notes"}.
 
     The printed statement's network denominator 1 - lambda_max(W) is read as
     the spectral gap 1 - sigma2(W): for these symmetric stochastic matrices
@@ -195,12 +167,12 @@ def theorem1_bound(B, I, m, n, delta, sigma2_w) -> BoundReport:
         math.log(6.0 * m / delta), 3.0 * B * math.sqrt(2.0) / I
     )
     net = (48.0 * B * math.log(n) / I) * (math.log(m) + 2.0) / (1.0 - sigma2_w)
-    return BoundReport(
-        total=concentration + net,
-        terms={"concentration": concentration, "network": net},
-        inputs={"B": B, "I": I, "m": m, "n": n, "delta": delta, "sigma2": sigma2_w},
-        notes="network denominator evaluated as spectral gap 1 - sigma2(W)",
-    )
+    return {
+        "total": concentration + net,
+        "terms": {"concentration": concentration, "network": net},
+        "inputs": {"B": B, "I": I, "m": m, "n": n, "delta": delta, "sigma2": sigma2_w},
+        "notes": "network denominator evaluated as spectral gap 1 - sigma2(W)",
+    }
 
 
 def theorem1_learning_rate(B: float, n: int, sigma2_w: float) -> float:
@@ -214,8 +186,10 @@ def theorem1_learning_rate(B: float, n: int, sigma2_w: float) -> float:
     return (1.0 - sigma2_w) / (16.0 * B * math.log(n))
 
 
-def prop1_log_tv_bound(B, I, m, n, delta, sigma2_w, t, eta=1.0) -> BoundReport:
+def prop1_log_tv_bound(B, I, m, n, delta, sigma2_w, t, eta=1.0) -> dict:
     """Anytime high-probability bound on log ||mu_{i,t} - e_true||_TV (natural log).
+
+    Returns the bound as `theorem1_bound` does, with empty notes.
 
     The rate, fluctuation and network terms bound max_k (phi_k - phi_true), and
     TV <= sum_{k != true} exp(eta (phi_k - phi_true)), so they scale with eta.
@@ -229,12 +203,13 @@ def prop1_log_tv_bound(B, I, m, n, delta, sigma2_w, t, eta=1.0) -> BoundReport:
         "network": eta * 8.0 * B * math.log(n) / (1.0 - sigma2_w),
         "log_m": math.log(m),
     }
-    return BoundReport(
-        total=sum(terms.values()),
-        terms=terms,
-        inputs={"B": B, "I": I, "m": m, "n": n, "delta": delta,
-                "sigma2": sigma2_w, "t": t},
-    )
+    return {
+        "total": sum(terms.values()),
+        "terms": terms,
+        "inputs": {"B": B, "I": I, "m": m, "n": n, "delta": delta,
+                   "sigma2": sigma2_w, "t": t},
+        "notes": "",
+    }
 
 
 def _check_bound_inputs(*, B, I, m, n, delta, sigma2_w):
@@ -248,7 +223,6 @@ def _check_bound_inputs(*, B, I, m, n, delta, sigma2_w):
         raise DistDetectError(f"sigma2 must lie in [0, 1), got {sigma2_w}")
 
 
-@dataclass(frozen=True, eq=False)
 class Scenario:
     """A model, a network over the same agents and the settings of the bounds.
 
@@ -256,22 +230,21 @@ class Scenario:
     and E[W], kept as `w_bar`, must be connected (A3).
     """
 
-    model: signals.SignalModel
-    process: network.NetworkProcess
-    horizon: int               # T of the cost bound and of `simulate`
-    learning_rate: object      # "unit" | "theorem1" | float
-    delta: float
-    checkpoints: tuple         # the t of the anytime bound
-    w_bar: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.process.n != self.model.n:
-            raise DistDetectError(f"network has n={self.process.n} agents "
-                                  f"but signal model has n={self.model.n}")
-        w_bar = network.expected_matrix(self.process)
+    def __init__(self, model: signals.SignalModel, process: network.NetworkProcess,
+                 horizon: int, learning_rate, delta: float, checkpoints: tuple):
+        if process.n != model.n:
+            raise DistDetectError(f"network has n={process.n} agents "
+                                  f"but signal model has n={model.n}")
+        w_bar = network.expected_matrix(process)
         if not network.check_expected_connectivity(w_bar):
             raise DistDetectError("network is not connected in expectation (A3 violated)")
-        object.__setattr__(self, "w_bar", w_bar)
+        self.model = model
+        self.process = process
+        self.horizon = horizon              # T of the cost bound and of `simulate`
+        self.learning_rate = learning_rate  # "unit" | "theorem1" | float
+        self.delta = delta
+        self.checkpoints = checkpoints      # the t of the anytime bound
+        self.w_bar = w_bar
 
 
 def bound_inputs(sc: Scenario):
@@ -315,7 +288,7 @@ def prop1_statistics(sc: Scenario, eta, base_seed, trials) -> np.ndarray:
 def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list:
     """Estimate the violation frequency of a bound over R independent trials.
 
-    Returns one MonteCarloReport for theorem1 (at the horizon) and one per
+    Returns one report dict for theorem1 (at the horizon) and one per
     checkpoint for prop1, all from one engine run. Fails closed: a NaN or
     +inf statistic counts as a violation and fails the verdict outright.
     Only -inf, the log of a TV error that underflowed to 0, is a legitimate
@@ -339,19 +312,19 @@ def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list
     reports = []
     for bound, stats in zip(bounds, statistics.T):
         broken = np.isnan(stats) | (stats == np.inf)
-        violations = int(np.count_nonzero(broken | (stats > bound.total)))
+        violations = int(np.count_nonzero(broken | (stats > bound["total"])))
         rate = violations / R
         finite = stats[np.isfinite(stats)]
-        reports.append(MonteCarloReport(
-            which=which, trials=R, violations=violations, violation_rate=rate,
-            delta=delta, slack=slack, bound=bound,
-            verdict="pass" if rate <= delta + slack and not broken.any() else "fail",
-            trial_stats={
+        reports.append({
+            "which": which, "trials": R, "violations": violations, "violation_rate": rate,
+            "delta": delta, "slack": slack, "bound": bound,
+            "verdict": "pass" if rate <= delta + slack and not broken.any() else "fail",
+            "trial_stats": {
                 "eta": eta,
                 "max_statistic": float(np.max(stats)),
                 "mean_finite_statistic":
                     float(np.mean(finite)) if finite.size else float("-inf"),
                 "nonfinite_statistics": int(np.count_nonzero(broken)),
             },
-        ))
+        })
     return reports

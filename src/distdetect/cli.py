@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 # read once when OpenBLAS loads, so before numpy: 4 is its shortest idle spin
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
@@ -60,15 +59,15 @@ def _artifact(outdir, name, newline=None):
 def cmd_simulate(cfg, args) -> int:
     seed, trials, outdir = _resolve(cfg, args)
     B, k2, rate, s2, eta = analysis.bound_inputs(cfg)
-    batch = analysis.simulate_trials(cfg.model, cfg.process, eta, cfg.horizon,
-                                     seed, range(trials))
+    tv, kl, ctv, max_gap = analysis.simulate_trials(cfg.model, cfg.process, eta,
+                                                    cfg.horizon, seed, range(trials))
 
     with np.errstate(divide="ignore"):
-        log_tv = np.log(batch.tv_error)
+        log_tv = np.log(tv)
     T, n = cfg.horizon, cfg.model.n
     rows = trials * T * n
-    per_agent = (batch.tv_error.ravel(), log_tv.ravel(), batch.kl_increment.ravel())
-    centralized = batch.centralized_tv.ravel()
+    per_agent = (tv.ravel(), log_tv.ravel(), kl.ravel())
+    centralized = ctv.ravel()
     with _artifact(outdir, "trajectories.csv", newline="") as table:
         table.write(CSV_HEADER)
         for q0 in range(0, rows, CSV_CHUNK):
@@ -80,8 +79,8 @@ def cmd_simulate(cfg, args) -> int:
                     text[q // n - s0])
             table.write("".join(CSV_ROW % row for row in zip(*(c.tolist() for c in cols))))
 
-    final_tv = batch.tv_error[:, -1]
-    costs = batch.kl_increment.sum(axis=1)
+    final_tv = tv[:, -1]
+    costs = kl.sum(axis=1)
     summary = {
         "config_digest": cfg.digest,
         "n": cfg.model.n,
@@ -100,7 +99,7 @@ def cmd_simulate(cfg, args) -> int:
         "final_tv_max": float(final_tv.max()),
         "total_cost_mean_per_agent": costs.mean(axis=0).tolist(),
         "total_cost_max": float(costs.max()),
-        "max_potential_gap": batch.max_potential_gap,
+        "max_potential_gap": max_gap,
     }
     with _artifact(outdir, "summary.json") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
@@ -118,13 +117,13 @@ def cmd_verify(cfg, args) -> int:
     docs = []
     for t, rep in zip(cfg.checkpoints if which == "prop1" else [None], reports):
         docs.append({
-            "config_digest": cfg.digest, **asdict(rep), "seed": seed, "checkpoint": t,
+            "config_digest": cfg.digest, **rep, "seed": seed, "checkpoint": t,
             "horizon": cfg.horizon if which == "theorem1" else None,
         })
         label = which if t is None else f"{which} at t={t}"
-        print(f"{label}: {rep.violations}/{rep.trials} violations "
-              f"(rate {rep.violation_rate:.4f}, threshold {rep.delta + rep.slack:.4f}) "
-              f"-> {rep.verdict}")
+        print(f"{label}: {rep['violations']}/{rep['trials']} violations "
+              f"(rate {rep['violation_rate']:.4f}, "
+              f"threshold {rep['delta'] + rep['slack']:.4f}) -> {rep['verdict']}")
     # the report is that of the first failing checkpoint, else of the last one,
     # so its verdict is the overall one; with several it lists them all
     doc = next((d for d in docs if d["verdict"] == "fail"), docs[-1])

@@ -10,7 +10,6 @@ naming the specific violation.
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 
 import yaml
 
@@ -18,12 +17,15 @@ from . import analysis, network, signals
 from .errors import ConfigInvalid, DistDetectError
 
 
-@dataclass(frozen=True, eq=False)
 class ScenarioConfig(analysis.Scenario):
-    trials: int
-    seed: int
-    output_dir: str
-    digest: str
+    """A checked `analysis.Scenario` and the settings of one run."""
+
+    def __init__(self, trials: int, seed: int, output_dir: str, digest: str, **scenario):
+        super().__init__(**scenario)
+        self.trials = trials
+        self.seed = seed
+        self.output_dir = output_dir
+        self.digest = digest
 
 
 def config_digest(raw: dict) -> str:
@@ -43,9 +45,12 @@ def _build_process(spec: dict) -> network.NetworkProcess:
     if kind not in ("gossip", "metropolis"):
         raise ConfigInvalid(f"unknown network kind {kind!r}")
     g = spec["graph"]
-    graph = network.Graph(_whole(g["n"], "graph n", 1),
-                          frozenset(tuple(_whole(v, "edges endpoint", 0) for v in e)
-                                    for e in g["edges"]))
+    n, edges = _whole(g["n"], "graph n", 1), g["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2
+                                              for e in edges):
+        raise ConfigInvalid("edges must be a list of two-element lists")
+    graph = network.Graph(n, frozenset(tuple(_whole(v, "edges endpoint", 0) for v in e)
+                                       for e in edges))
     if kind == "gossip":
         return network.gossip_process(graph)
     return network.fixed_process(network.metropolis_matrix(graph))

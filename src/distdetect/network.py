@@ -7,7 +7,6 @@ matrices. Spectral quantities are computed on the expected matrix.
 """
 
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,27 +35,25 @@ def validate_mixing(entries) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
 class Graph:
-    n: int
-    edges: frozenset  # frozenset of sorted (i, j) tuples, no self-loops
+    """n vertices and undirected edges, kept as a frozenset of sorted (i, j) tuples."""
 
-    def __post_init__(self):
+    def __init__(self, n: int, edges):
         norm = set()
-        for i, j in self.edges:
+        for i, j in edges:
             i, j = operator.index(i), operator.index(j)
             if i == j:
                 raise DistDetectError(f"self-loop on vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise DistDetectError(f"edge ({i},{j}) outside vertex range [0,{self.n})")
+            if not (0 <= i < n and 0 <= j < n):
+                raise DistDetectError(f"edge ({i},{j}) outside vertex range [0,{n})")
             norm.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(norm))
+        self.n = n
+        self.edges = frozenset(norm)
 
     def degrees(self) -> np.ndarray:
         return np.bincount([v for e in self.edges for v in e], minlength=self.n)
 
 
-@dataclass(frozen=True, eq=False)
 class NetworkProcess:
     """I.i.d. draws W(t) from a distribution over K mixing atoms.
 
@@ -67,13 +64,11 @@ class NetworkProcess:
     factory functions below.
     """
 
-    n: int
-    probs: np.ndarray
-    atoms: np.ndarray
-    _cdf: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_cdf", np.cumsum(self.probs))
+    def __init__(self, n: int, probs: np.ndarray, atoms: np.ndarray):
+        self.n = n
+        self.probs = probs
+        self.atoms = atoms
+        self._cdf = np.cumsum(probs)
 
     @property
     def uniforms(self) -> int:

@@ -7,8 +7,6 @@ must be globally identifiable: every false state is distinguished by at least
 one agent.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DistDetectError
@@ -17,20 +15,13 @@ ROW_SUM_TOL = 1e-12
 EQUIV_TOL = 1e-12  # per-entry tolerance for observational equivalence
 
 
-@dataclass(frozen=True, eq=False)
 class SignalModel:
     """Row k of tables[i] is l_i(.|theta_k); n, m and each alphabet size are read off them."""
 
-    tables: tuple
-    true_index: int = 0
-    # per-agent row-cumsum over the true state's row, for inverse-CDF sampling
-    _true_cdfs: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "tables", tuple(np.asarray(t, dtype=float) for t in self.tables))
+    def __init__(self, tables, true_index: int = 0):
+        self.tables = tuple(np.asarray(t, dtype=float) for t in tables)
+        self.true_index = true_index
         validate_model(self)
-        cdfs = tuple(np.cumsum(t[self.true_index]) for t in self.tables)
-        object.__setattr__(self, "_true_cdfs", cdfs)
 
     @property
     def n(self) -> int:
@@ -125,8 +116,8 @@ def sample_step(model, rng) -> np.ndarray:
     """One synchronous draw: each agent samples a symbol from its true-state row."""
     u = rng.random(model.n)
     out = np.empty(model.n, dtype=np.int64)
-    for i, cdf in enumerate(model._true_cdfs):
-        out[i] = np.searchsorted(cdf, u[i], side="right")
+    for i, t in enumerate(model.tables):
+        out[i] = np.searchsorted(np.cumsum(t[model.true_index]), u[i], side="right")
     return out
 
 
@@ -141,7 +132,7 @@ def padded_tables(model):
     width = max(t.shape[1] for t in model.tables)
     cdf = np.full((model.n, width), np.inf)
     logtab = np.zeros((model.n, width, model.m))
-    for i, (t, c) in enumerate(zip(model.tables, model._true_cdfs)):
-        cdf[i, :t.shape[1] - 1] = c[:-1]
+    for i, t in enumerate(model.tables):
+        cdf[i, :t.shape[1] - 1] = np.cumsum(t[model.true_index])[:-1]
         logtab[i, :t.shape[1]] = np.log(t).T
     return cdf, logtab

@@ -66,7 +66,7 @@ def six_agent_trajectories():
 
 def test_criterion_1_connection_identity(six_agent_trajectories):
     _, _, batch, elapsed = six_agent_trajectories
-    worst = batch.max_potential_gap
+    *_, worst = batch
     assert worst <= 1e-8, f"potential gap {worst} exceeds 1e-8"
     assert elapsed < 10.0, f"took {elapsed:.1f}s, limit 10s"
     _passline(1, f"connection identity: max gap {worst:.2e} over {N_SEEDS} seeds, {elapsed:.1f}s")
@@ -129,12 +129,12 @@ def test_criterion_3_prop1_verification(ref_model, ref_process):
     [rep] = analysis.monte_carlo_verify(sc, "prop1", R=500, base_seed=BASE_SEED)
     elapsed = time.monotonic() - start
     threshold = 0.1 + 3 * math.sqrt(0.09 / 500)
-    assert rep.violation_rate <= threshold, (
-        f"violation rate {rep.violation_rate} exceeds {threshold:.4f}"
+    assert rep["violation_rate"] <= threshold, (
+        f"violation rate {rep['violation_rate']} exceeds {threshold:.4f}"
     )
-    assert rep.verdict == "pass"
+    assert rep["verdict"] == "pass"
     assert elapsed < 120.0, f"took {elapsed:.1f}s, limit 120s"
-    _passline(3, f"anytime-bound check: rate {rep.violation_rate:.4f} <= {threshold:.4f}, {elapsed:.1f}s")
+    _passline(3, f"anytime-bound check: rate {rep['violation_rate']:.4f} <= {threshold:.4f}, {elapsed:.1f}s")
 
 
 def test_criterion_4_theorem1_verification():
@@ -154,19 +154,20 @@ def test_criterion_4_theorem1_verification():
     [rep] = analysis.monte_carlo_verify(sc, "theorem1", R=300, base_seed=BASE_SEED)
     elapsed = time.monotonic() - start
     threshold = 0.1 + 3 * math.sqrt(0.09 / 300)
-    assert rep.violation_rate <= threshold, (
-        f"violation rate {rep.violation_rate} exceeds {threshold:.4f}"
+    assert rep["violation_rate"] <= threshold, (
+        f"violation rate {rep['violation_rate']} exceeds {threshold:.4f}"
     )
     assert elapsed < 180.0, f"took {elapsed:.1f}s, limit 180s"
-    _passline(4, f"cost-bound check: rate {rep.violation_rate:.4f} <= {threshold:.4f}, "
-                 f"max cost {rep.trial_stats['max_statistic']:.3g} vs bound "
-                 f"{rep.bound.total:.3g}, {elapsed:.1f}s")
+    _passline(4, f"cost-bound check: rate {rep['violation_rate']:.4f} <= {threshold:.4f}, "
+                 f"max cost {rep['trial_stats']['max_statistic']:.3g} vs bound "
+                 f"{rep['bound']['total']:.3g}, {elapsed:.1f}s")
 
 
 def test_criterion_5_asymptotic_rate(ref_model, ref_long_trajectories):
     _, rate = signals.second_state(ref_model)
     slopes = np.zeros(ref_model.n)
-    for tv in ref_long_trajectories.tv_error:
+    tv_error, *_ = ref_long_trajectories
+    for tv in tv_error:
         for i in range(ref_model.n):
             stop = min(int(np.flatnonzero(tv[:, i] > 0)[-1]) + 1, 5000)
             slopes[i] += rate_slope(tv[:, i], (2500, stop))
@@ -211,14 +212,16 @@ def test_criterion_8_tv_exp_gap_inequality(ref_model, ref_process, ref_long_traj
     model, process, six, _ = six_agent_trajectories
     runs = [(ref_model, ref_process, ref_long_trajectories), (model, process, six)]
     for model, process, batch in runs:
-        horizon = batch.tv_error.shape[1]
+        tv_error, *_ = batch
+        horizon = tv_error.shape[1]
         gaps = exp_gap_sums(model, process, horizon, BASE_SEED, range(N_SEEDS))
-        assert np.all(batch.tv_error <= gaps + 1e-12)
+        assert np.all(tv_error <= gaps + 1e-12)
     _passline(8, f"TV <= exp-gap-sum at every step of {len(runs) * N_SEEDS} trajectories")
 
 
 def test_criterion_9_strong_consistency(ref_long_trajectories):
-    reached = (ref_long_trajectories.tv_error <= 1e-6).any(axis=1)
+    tv_error, *_ = ref_long_trajectories
+    reached = (tv_error <= 1e-6).any(axis=1)
     assert reached.all(), "an agent never reached TV <= 1e-6 within T=5000"
     _passline(9, f"strong consistency: all agents below 1e-6 in all {N_SEEDS} seeds")
 

@@ -16,32 +16,32 @@ from conftest import cycle_graph, exp_gap_sums, random_mixing_matrix, rate_slope
 class TestTheorem1Bound:
     def test_hand_arithmetic(self):
         rep = analysis.theorem1_bound(B=1, I=0.5, m=2, n=4, delta=0.1, sigma2_w=0.5)
-        assert rep.terms["concentration"] == pytest.approx(610.9402589451771)
-        assert rep.terms["network"] == pytest.approx(716.8309920146273)
-        assert rep.total == pytest.approx(1327.7712509598045)
+        assert rep["terms"]["concentration"] == pytest.approx(610.9402589451771)
+        assert rep["terms"]["network"] == pytest.approx(716.8309920146273)
+        assert rep["total"] == pytest.approx(1327.7712509598045)
 
     def test_total_is_sum_of_terms(self):
         rep = analysis.theorem1_bound(B=2, I=0.2, m=5, n=10, delta=0.05, sigma2_w=0.8)
-        assert rep.total == pytest.approx(sum(rep.terms.values()), abs=1e-12)
+        assert rep["total"] == pytest.approx(sum(rep["terms"].values()), abs=1e-12)
 
     def test_larger_rate_shrinks_bound_in_kl_regime(self):
         # stay in the regime where the max picks the 1/I branch
         lo = analysis.theorem1_bound(B=1, I=0.4, m=2, n=4, delta=0.1, sigma2_w=0.5)
         hi = analysis.theorem1_bound(B=1, I=0.8, m=2, n=4, delta=0.1, sigma2_w=0.5)
-        assert hi.total < lo.total
-        assert hi.terms["concentration"] < lo.terms["concentration"]
-        assert hi.terms["network"] < lo.terms["network"]
+        assert hi["total"] < lo["total"]
+        assert hi["terms"]["concentration"] < lo["terms"]["concentration"]
+        assert hi["terms"]["network"] < lo["terms"]["network"]
 
     def test_shrinking_delta_blows_up(self):
         vals = [
-            analysis.theorem1_bound(B=1, I=1.0, m=2, n=4, delta=d, sigma2_w=0.5).total
+            analysis.theorem1_bound(B=1, I=1.0, m=2, n=4, delta=d, sigma2_w=0.5)["total"]
             for d in (1e-2, 1e-6, 1e-12)
         ]
         assert vals[0] < vals[1] < vals[2]
 
     def test_monotone_in_spectral_gap(self):
         totals = [
-            analysis.theorem1_bound(B=1, I=0.5, m=2, n=4, delta=0.1, sigma2_w=s).total
+            analysis.theorem1_bound(B=1, I=0.5, m=2, n=4, delta=0.1, sigma2_w=s)["total"]
             for s in (0.2, 0.5, 0.9)
         ]
         assert totals[0] < totals[1] < totals[2]
@@ -75,24 +75,24 @@ class TestProp1Bound:
         rep = analysis.prop1_log_tv_bound(
             B=1, I=0.1, m=2, n=2, delta=0.1, sigma2_w=0.0, t=100
         )
-        assert rep.terms["rate"] == pytest.approx(-10.0)
-        assert rep.terms["fluctuation"] == pytest.approx(24.477468306808163)
-        assert rep.terms["network"] == pytest.approx(5.545177444479562)
-        assert rep.terms["log_m"] == pytest.approx(math.log(2))
-        assert rep.total == pytest.approx(20.71579293184767)
+        assert rep["terms"]["rate"] == pytest.approx(-10.0)
+        assert rep["terms"]["fluctuation"] == pytest.approx(24.477468306808163)
+        assert rep["terms"]["network"] == pytest.approx(5.545177444479562)
+        assert rep["terms"]["log_m"] == pytest.approx(math.log(2))
+        assert rep["total"] == pytest.approx(20.71579293184767)
 
     def test_total_is_sum_of_terms(self):
         rep = analysis.prop1_log_tv_bound(
             B=1.6, I=0.05, m=3, n=4, delta=0.1, sigma2_w=0.75, t=300
         )
-        assert rep.total == pytest.approx(sum(rep.terms.values()), abs=1e-12)
+        assert rep["total"] == pytest.approx(sum(rep["terms"].values()), abs=1e-12)
 
     def test_asymptotic_slope_is_minus_I(self):
         I = 0.37
         args = dict(B=1, I=I, m=3, n=4, delta=0.1, sigma2_w=0.5)
         diffs = [
-            analysis.prop1_log_tv_bound(**args, t=t + 1).total
-            - analysis.prop1_log_tv_bound(**args, t=t).total
+            analysis.prop1_log_tv_bound(**args, t=t + 1)["total"]
+            - analysis.prop1_log_tv_bound(**args, t=t)["total"]
             for t in (10**3, 10**5, 10**7)
         ]
         assert diffs[-1] == pytest.approx(-I, abs=1e-3)
@@ -109,9 +109,9 @@ class TestProp1Bound:
         unit = analysis.prop1_log_tv_bound(**args)
         half = analysis.prop1_log_tv_bound(**args, eta=0.5)
         for name in ("rate", "fluctuation", "network"):
-            assert half.terms[name] == 0.5 * unit.terms[name]
-        assert half.terms["log_m"] == unit.terms["log_m"] == math.log(3)
-        assert half.inputs == unit.inputs
+            assert half["terms"][name] == 0.5 * unit["terms"][name]
+        assert half["terms"]["log_m"] == unit["terms"]["log_m"] == math.log(3)
+        assert half["inputs"] == unit["inputs"]
 
 
 class TestRateSlope:
@@ -137,8 +137,8 @@ class TestMonteCarlo:
         )
         [a] = analysis.monte_carlo_verify(sc, "prop1", R=20, base_seed=5)
         [b] = analysis.monte_carlo_verify(sc, "prop1", R=20, base_seed=5)
-        assert a.violations == b.violations
-        assert a.violation_rate == b.violation_rate
+        assert a["violations"] == b["violations"]
+        assert a["violation_rate"] == b["violation_rate"]
 
     def test_huge_delta_trivially_passes(self, reference_model, reference_process):
         sc = analysis.Scenario(
@@ -146,7 +146,7 @@ class TestMonteCarlo:
             delta=0.99, horizon=30, checkpoints=(30,), learning_rate="unit",
         )
         [rep] = analysis.monte_carlo_verify(sc, "prop1", R=20, base_seed=6)
-        assert rep.verdict == "pass"
+        assert rep["verdict"] == "pass"
 
     def test_rate_equals_violations_over_trials(self, reference_model, reference_process):
         sc = analysis.Scenario(
@@ -154,7 +154,7 @@ class TestMonteCarlo:
             delta=0.1, horizon=30, checkpoints=(30,), learning_rate="unit",
         )
         [rep] = analysis.monte_carlo_verify(sc, "prop1", R=25, base_seed=7)
-        assert rep.violation_rate == rep.violations / 25
+        assert rep["violation_rate"] == rep["violations"] / 25
 
     def test_disconnected_process_rejected(self, reference_model):
         with pytest.raises(DistDetectError, match=r"not connected in expectation \(A3"):
@@ -179,9 +179,9 @@ class TestMonteCarlo:
         )
         for which in ("prop1", "theorem1"):
             [rep] = analysis.monte_carlo_verify(sc, which, R=4, base_seed=10)
-            assert rep.verdict == "fail"
-            assert rep.violations == 4
-            assert rep.trial_stats["nonfinite_statistics"] == 4
+            assert rep["verdict"] == "fail"
+            assert rep["violations"] == 4
+            assert rep["trial_stats"]["nonfinite_statistics"] == 4
 
     def test_log_zero_tv_is_not_a_failure(self, reference_model, reference_process):
         # at eta = 200 every belief is a point mass by step 300: TV underflows to 0
@@ -190,27 +190,30 @@ class TestMonteCarlo:
             delta=0.1, horizon=300, checkpoints=(300,), learning_rate=200.0,
         )
         [rep] = analysis.monte_carlo_verify(sc, "prop1", R=4, base_seed=11)
-        assert rep.trial_stats["max_statistic"] == -math.inf
-        assert rep.trial_stats["nonfinite_statistics"] == 0
-        assert rep.verdict == "pass"
+        assert rep["trial_stats"]["max_statistic"] == -math.inf
+        assert rep["trial_stats"]["nonfinite_statistics"] == 0
+        assert rep["verdict"] == "pass"
 
 
 class TestSimulateTrial:
     def test_shapes_and_ranges(self, reference_model, reference_process):
-        b = analysis.simulate_trials(reference_model, reference_process, 1.0, 40, 11, [0])
-        assert b.tv_error.shape == (1, 40, 4)
-        assert np.all(b.tv_error >= 0) and np.all(b.tv_error <= 1)
-        assert np.all(b.kl_increment >= 0)
-        assert np.all(b.centralized_tv >= 0)
+        tv_error, kl_increment, centralized_tv, _ = analysis.simulate_trials(
+            reference_model, reference_process, 1.0, 40, 11, [0])
+        assert tv_error.shape == (1, 40, 4)
+        assert np.all(tv_error >= 0) and np.all(tv_error <= 1)
+        assert np.all(kl_increment >= 0)
+        assert np.all(centralized_tv >= 0)
 
     def test_connection_identity(self, reference_model, reference_process):
-        b = analysis.simulate_trials(reference_model, reference_process, 1.0, 500, 12, [0])
-        assert b.max_potential_gap <= 1e-8
+        *_, max_potential_gap = analysis.simulate_trials(
+            reference_model, reference_process, 1.0, 500, 12, [0])
+        assert max_potential_gap <= 1e-8
 
     def test_e2_inequality_along_trajectory(self, reference_model, reference_process):
-        b = analysis.simulate_trials(reference_model, reference_process, 1.0, 300, 13, [0])
+        tv_error, *_ = analysis.simulate_trials(
+            reference_model, reference_process, 1.0, 300, 13, [0])
         gaps = exp_gap_sums(reference_model, reference_process, 300, 13, [0])
-        assert np.all(b.tv_error <= gaps + 1e-12)
+        assert np.all(tv_error <= gaps + 1e-12)
 
 
 class TestBatchedEngine:
@@ -224,10 +227,10 @@ class TestBatchedEngine:
         for r in range(4):
             alone = analysis.simulate_trials(reference_model, reference_process, 1.0, 150,
                                              3, [r])
-            for name in ("tv_error", "kl_increment", "centralized_tv"):
-                assert np.array_equal(getattr(alone, name)[0], getattr(batch, name)[r]), name
-            gaps.append(alone.max_potential_gap)
-        assert batch.max_potential_gap == max(gaps)
+            for name, a, b in zip(("tv_error", "kl_increment", "centralized_tv"), alone, batch):
+                assert np.array_equal(a[0], b[r]), name
+            gaps.append(alone[-1])
+        assert batch[-1] == max(gaps)
         sc = analysis.Scenario(
             model=reference_model, process=reference_process,
             delta=0.1, horizon=150, checkpoints=(150,), learning_rate="unit",
@@ -335,7 +338,8 @@ def test_batched_potentials_match_oracle(case):
     dec = np.concatenate([d for _, _, d, _ in blocks])   # T x R x n x m
     cen = np.concatenate([c for _, _, _, c in blocks])   # T x R x m
     assert dec.shape == (horizon, trials, model.n, model.m)
-    batch = analysis.simulate_trials(model, process, eta, horizon, seed, range(trials))
+    tv_error, kl_increment, centralized_tv, _ = analysis.simulate_trials(
+        model, process, eta, horizon, seed, range(trials))
     truth = np.eye(model.m)[model.true_index]
     for r in range(trials):
         matrices, samples = _oracle_replay(model, process, horizon, seed, r)
@@ -347,10 +351,10 @@ def test_batched_potentials_match_oracle(case):
             assert np.abs(dec[t, r] - d.phi).max() <= 1e-8
             assert np.abs(cen[t, r] - c.phi).max() <= 1e-8
             mu_c = detection.centralized_belief(c)
-            assert abs(batch.centralized_tv[r, t] - 0.5 * np.abs(mu_c - truth).sum()) <= 1e-8
+            assert abs(centralized_tv[r, t] - 0.5 * np.abs(mu_c - truth).sum()) <= 1e-8
             for i, mu in enumerate(detection.beliefs(d)):
-                assert abs(batch.tv_error[r, t, i] - 0.5 * np.abs(mu - truth).sum()) <= 1e-8
-                assert abs(batch.kl_increment[r, t, i] - prob.kl_divergence(mu, mu_c)) <= 1e-8
+                assert abs(tv_error[r, t, i] - 0.5 * np.abs(mu - truth).sum()) <= 1e-8
+                assert abs(kl_increment[r, t, i] - prob.kl_divergence(mu, mu_c)) <= 1e-8
         psis = np.array([detection.log_marginal_matrix(model, s) for s in samples])
         for i in range(model.n):
             closed = detection.closed_form_phi(matrices, psis, i)

@@ -160,20 +160,20 @@ class TestSimulateCommand:
         path = write_config(tmp_path, {"learning_rate": 1000.0})  # TV underflows: -inf logs
         cfg = load_config(path)
         assert cli.main(["simulate", str(path)]) == 0
-        batch = analysis.simulate_trials(cfg.model, cfg.process, 1000.0, cfg.horizon,
-                                         cfg.seed, range(cfg.trials))
+        tv_error, kl_increment, centralized_tv, _ = analysis.simulate_trials(
+            cfg.model, cfg.process, 1000.0, cfg.horizon, cfg.seed, range(cfg.trials))
         ref = io.StringIO(newline="")
         wr = csv.writer(ref)
         wr.writerow(["trial", "t", "agent", "tv_error", "log_tv_error",
                      "kl_increment", "centralized_tv_error"])
         with np.errstate(divide="ignore"):
-            log_tv = np.log(batch.tv_error)
+            log_tv = np.log(tv_error)
         for r in range(cfg.trials):
             for t in range(cfg.horizon):
                 for i in range(cfg.model.n):
                     wr.writerow([r, t + 1, i] + [format(float(x), ".17g") for x in (
-                        batch.tv_error[r, t, i], log_tv[r, t, i],
-                        batch.kl_increment[r, t, i], batch.centralized_tv[r, t])])
+                        tv_error[r, t, i], log_tv[r, t, i],
+                        kl_increment[r, t, i], centralized_tv[r, t])])
         written = (tmp_path / "out" / "trajectories.csv").read_bytes()
         assert b"-inf" in written
         assert written == ref.getvalue().encode()
@@ -229,7 +229,7 @@ class TestVerifyCommand:
 
         def broken_late(*args, **kwargs):  # a bound no statistic can meet, from t = 30 on
             rep = real(*args, **kwargs)
-            return rep if args[-1] < 30 else analysis.BoundReport(-1e9, rep.terms, rep.inputs)
+            return rep if args[-1] < 30 else dict(rep, total=-1e9)
 
         monkeypatch.setattr(analysis, "prop1_log_tv_bound", broken_late)
         path = write_config(tmp_path, {"checkpoints": [10, 40], "trials": 4})
@@ -256,6 +256,41 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads((tmp_path / "out" / "verify_theorem1.json").read_text())
         assert report["verdict"] == "pass"
+
+
+REPORT_KEYS = {"config_digest", "which", "trials", "violations", "violation_rate", "delta",
+               "slack", "verdict", "bound", "trial_stats", "seed", "checkpoint", "horizon"}
+
+
+def test_report_schemas(tmp_path):
+    # the reports are built as plain dicts, so a dropped or renamed key fails here
+    path = write_config(tmp_path, {"checkpoints": [10, 40], "trials": 2})
+    assert cli.main(["simulate", str(path)]) == 0
+    for which in ("theorem1", "prop1"):
+        assert cli.main(["verify", str(path), "--which", which]) in (0, 1)
+    out = tmp_path / "out"
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {
+        "config_digest", "n", "m", "true_state", "log_bound_B", "second_state",
+        "pairwise_rate_I", "sigma2", "spectral_gap", "eta", "horizon", "trials", "seed",
+        "final_tv_mean_per_agent", "final_tv_max", "total_cost_mean_per_agent",
+        "total_cost_max", "max_potential_gap"}
+    theorem1 = json.loads((out / "verify_theorem1.json").read_text())
+    prop1 = json.loads((out / "verify_prop1.json").read_text())
+    assert set(theorem1) == REPORT_KEYS
+    assert set(prop1) == REPORT_KEYS | {"per_checkpoint"}
+    assert len(prop1["per_checkpoint"]) == 2
+    assert all(set(entry) == REPORT_KEYS for entry in prop1["per_checkpoint"])
+    inputs = {"B", "I", "m", "n", "delta", "sigma2"}
+    for report in (theorem1, prop1, *prop1["per_checkpoint"]):
+        assert set(report["bound"]) == {"total", "terms", "inputs", "notes"}
+        assert set(report["trial_stats"]) == {
+            "eta", "max_statistic", "mean_finite_statistic", "nonfinite_statistics"}
+    assert set(theorem1["bound"]["terms"]) == {"concentration", "network"}
+    assert set(theorem1["bound"]["inputs"]) == inputs
+    for report in (prop1, *prop1["per_checkpoint"]):
+        assert set(report["bound"]["terms"]) == {"rate", "fluctuation", "network", "log_m"}
+        assert set(report["bound"]["inputs"]) == inputs | {"t"}
 
 
 class TestSpectralCommand:
@@ -480,6 +515,10 @@ def test_artifacts_independent_of_thread_timeout(tmp_path):
     ({"signal_model.agents": [[[0.5, 0.5], [0.5, 0.5]]] * 4}, [],
      "config invalid: states [1] are observationally equivalent to the true state"),
     ({"signal_model": {}}, [], "config invalid: KeyError: 'agents'"),
+    # edges that are not pairs
+    ({"network.graph.edges": [[0, 1, 2], [1, 2], [2, 3], [3, 0]]}, [], "edges"),
+    ({"network.graph.edges": [[0], [1, 2], [2, 3], [3, 0]]}, [], "edges"),
+    ({"network.graph.edges": [0, 1]}, [], "edges"),
 ])
 def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, overrides, flags, field):
     # an exception escaping main would fail the test: that is the traceback
