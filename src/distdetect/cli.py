@@ -10,10 +10,11 @@ uniform per agent. Enlarging the trial count therefore keeps earlier trials'
 outcomes as a prefix, and reruns with the same config and seed produce
 byte-identical output files.
 
-The command lets idle OpenBLAS worker threads sleep at once instead of
-busy-waiting after each threaded call: it sets OPENBLAS_THREAD_TIMEOUT=4
-unless the variable is already set. The thread count, and so every result,
-stays the same; an exported value overrides the default.
+The command runs BLAS and LAPACK on the calling thread: it sets
+OPENBLAS_NUM_THREADS=1 unless the variable is already set. Its n x n
+products and eigensolves then wake no idle worker thread, and every result
+is independent of the machine's core count; an exported value overrides the
+default.
 """
 
 import argparse
@@ -21,8 +22,8 @@ import json
 import os
 import sys
 
-# read once when OpenBLAS loads, so before numpy: 4 is its shortest idle spin
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+# read once when OpenBLAS loads, so before numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

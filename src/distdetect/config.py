@@ -39,8 +39,11 @@ def _build_process(spec: dict) -> network.NetworkProcess:
     if kind == "fixed":
         return network.fixed_process(_rows(spec["matrix"], "matrix"))
     if kind == "finite_support":
+        support = spec["support"]
+        if not isinstance(support, list) or not all(isinstance(s, dict) for s in support):
+            raise ConfigInvalid("support must be a list of mappings with matrix and prob")
         pairs = [(_rows(item["matrix"], "matrix"), _finite(item["prob"], "prob"))
-                 for item in spec["support"]]
+                 for item in support]
         return network.finite_support_process(pairs)
     if kind not in ("gossip", "metropolis"):
         raise ConfigInvalid(f"unknown network kind {kind!r}")
