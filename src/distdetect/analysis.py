@@ -26,20 +26,35 @@ def trial_rng(base_seed: int, trial: int):
     return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(trial,)))
 
 
-STEP_BLOCK = 64            # steps drawn from each trial's generator at a time
-BLOCK_ELEMENTS = 1 << 15   # bound on trials x STEP_BLOCK x n x m held per block
+STEP_BLOCK = 64            # steps drawn from each trial's generator at a time, at most
+BLOCK_ELEMENTS = 1 << 15   # bound on trials x steps x n x m held per block
+GROUP_TRIALS = 8           # trials every block has room for, while n x m allows
 
 
-def potential_blocks(model, process, horizon: int, base_seed: int, trials):
+def block_shape(n: int, m: int):
+    """(steps, trials) of the blocks of a model with n agents and m states.
+
+    The steps depend on n x m alone, never on the trial count: STEP_BLOCK
+    while GROUP_TRIALS trials of that many steps fit in BLOCK_ELEMENTS, fewer
+    on wider models, at least one. The trials fill the rest of the bound, so
+    a block holds more than BLOCK_ELEMENTS values only when one step of one
+    trial does.
+    """
+    steps = min(STEP_BLOCK, max(1, BLOCK_ELEMENTS // (GROUP_TRIALS * n * m)))
+    return steps, max(1, BLOCK_ELEMENTS // (steps * n * m))
+
+
+def potential_blocks(model, process, horizon: int, base_seed: int, trials,
+                     centralized: bool = True):
     """Advance the given trials together and yield their potentials block by block.
 
     `trials` is a sequence of trial indices, such as a range. Yields
-    (rows, t0, dec, cen) for consecutive blocks of at most STEP_BLOCK
-    steps: `rows` is the slice of `trials` being advanced, dec the
+    (rows, t0, dec, cen) for consecutive blocks of `block_shape` steps:
+    `rows` is the slice of `trials` being advanced, dec the
     (K, len(rows), n, m) decentralized potentials after steps t0+1 .. t0+K,
-    and cen the (K, len(rows), m) centralized ones. Trials run in groups
-    bounded by BLOCK_ELEMENTS, so working memory grows with neither the trial
-    count nor the horizon.
+    and cen the (K, len(rows), m) centralized ones, or None unless
+    `centralized`. Trials run in groups of `block_shape` trials, so working
+    memory grows with neither the trial count nor the horizon.
 
     Trial r draws k + n uniforms per step from `trial_rng(base_seed, r)`: the
     process's k = `uniforms` first, then one per agent, turned into its
@@ -50,24 +65,27 @@ def potential_blocks(model, process, horizon: int, base_seed: int, trials):
     n, m = model.n, model.m
     k = process.uniforms
     cdf, logtab = signals.padded_tables(model)
-    agents = np.arange(n)
-    group = max(1, BLOCK_ELEMENTS // (STEP_BLOCK * n * m))
+    width = cdf.shape[1]
+    table = logtab.reshape(n * width, m)  # row i * width + s: agent i's symbol s
+    first_rows = np.arange(n) * width
+    block, group = block_shape(n, m)
     for g0 in range(0, len(trials), group):
         rngs = [trial_rng(base_seed, r) for r in trials[g0:g0 + group]]
         rows = slice(g0, g0 + len(rngs))
         phi = np.zeros((len(rngs), n, m))
-        cen = np.zeros((1, len(rngs), m))
-        for t0 in range(0, horizon, STEP_BLOCK):
-            steps = min(STEP_BLOCK, horizon - t0)
+        cen = np.zeros((1, len(rngs), m)) if centralized else None
+        for t0 in range(0, horizon, block):
+            steps = min(block, horizon - t0)
             u = np.stack([g.random((steps, k + n)) for g in rngs], axis=1)
-            symbols = sum(_columns(cdf <= u[..., k:, None]))
-            psi = logtab[agents, symbols]
+            # an agent's symbol is the count of its CDF entries <= its uniform
+            symbols = sum(_columns(cdf <= u[..., k:, None]), start=first_rows)
+            psi = np.take(table, symbols, axis=0)
             dec = process.advance(phi, u[..., :k], psi)
             phi = dec[-1]
-            # accumulate from the carried value so sums run in step order
-            cen = np.cumsum(np.concatenate([cen, psi.mean(axis=2)]), axis=0)[1:]
+            if centralized:
+                # accumulate from the carried value so sums run in step order
+                cen = np.cumsum(np.concatenate([cen[-1:], psi.mean(axis=2)]), axis=0)[1:]
             yield rows, t0, dec, cen
-            cen = cen[-1:]
 
 
 def _columns(x):
@@ -276,7 +294,7 @@ def prop1_statistics(sc: Scenario, eta, base_seed, trials) -> np.ndarray:
     # NaN until its checkpoint is reached, so an unreached one fails closed
     stats = _per_trial(trials, {"checkpoints": len(sc.checkpoints)}, fill=np.nan)
     for rows, t0, dec, _ in potential_blocks(
-            sc.model, sc.process, max(sc.checkpoints), base_seed, trials):
+            sc.model, sc.process, max(sc.checkpoints), base_seed, trials, centralized=False):
         for c, t in enumerate(sc.checkpoints):
             if t0 < t <= t0 + len(dec):
                 tv = _tv_error(_beliefs(dec[t - t0 - 1], eta)[2], true)

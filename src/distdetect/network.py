@@ -204,7 +204,10 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
     running per-agent sum, read off at each requested t. Row i of C^s has l1
     norm at most sqrt(n) rho^s for rho = ||C^s||_F^(1/s) >= ||C||_2; the pass
     stops once the bound on all later terms is below half an ulp of every
-    sum, which never happens when ||C||_2 = 1 (a periodic network).
+    sum. When ||C||_2 = 1 (a periodic network) that never happens, but C is
+    symmetric, so its eigenvalues of modulus 1 are +-1 and its powers settle
+    into a cycle of period 2: once C^s == C^(s-2) exactly, every later power
+    repeats the last two and the sums are finished in closed form.
     """
     t_values = [operator.index(t) for t in t_values]
     for t in t_values:
@@ -215,15 +218,22 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
     wanted, rows = np.unique(t_values, return_inverse=True)
     snapshots = np.empty((len(wanted), n))
     c = w - 1.0 / n
-    power, s = np.eye(n), 0
+    before, power, s = None, np.eye(n), 0  # C^(s-1) and C^s
     total = np.abs(power - 1.0 / n).sum(axis=1)  # holds the powers 0 .. s
+    increments = ()  # |C^(s-1)| and |C^s| row sums, once the powers repeat
     for k, t in enumerate(wanted):
-        while s < t - 1:
-            power = power @ c
+        while s < t - 1 and not increments:
+            older, before, power = before, power, power @ c
             s += 1
-            total += np.abs(power).sum(axis=1)
+            increment = np.abs(power).sum(axis=1)
+            total += increment
             rho = np.linalg.norm(power) ** (1.0 / s)
             if rho < 1 and n**0.5 * rho ** (s + 1) / (1 - rho) < np.spacing(total.min()) / 2:
                 s = T_MAX  # converged: every larger t reads the same sums
+            elif s >= 2 and np.array_equal(power, older):
+                increments = np.abs(before).sum(axis=1), increment
         snapshots[k] = total
+        if increments:  # the powers s+1, s+2, ... alternate C^(s-1), C^s, ...
+            later = t - 1 - s
+            snapshots[k] += (later + 1) // 2 * increments[0] + later // 2 * increments[1]
     return snapshots[rows]

@@ -220,40 +220,59 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("block_elements", [analysis.BLOCK_ELEMENTS, 1])
     def test_trial_record_independent_of_batch(
             self, reference_model, reference_process, monkeypatch, block_elements):
+        # each trial's record is the same alone, in a batch of R and in one of
+        # R + 3, on a small model and on a wide one (n x m > 512), whose R + 3
+        # trials fill more than one group
         monkeypatch.setattr(analysis, "BLOCK_ELEMENTS", block_elements)
-        batch = analysis.simulate_trials(reference_model, reference_process, 1.0, 150,
-                                         3, range(4))
-        gaps = []
-        for r in range(4):
-            alone = analysis.simulate_trials(reference_model, reference_process, 1.0, 150,
-                                             3, [r])
-            for name, a, b in zip(("tv_error", "kl_increment", "centralized_tv"), alone, batch):
-                assert np.array_equal(a[0], b[r]), name
-            gaps.append(alone[-1])
-        assert batch[-1] == max(gaps)
-        sc = analysis.Scenario(
-            model=reference_model, process=reference_process,
-            delta=0.1, horizon=150, checkpoints=(150,), learning_rate="unit",
-        )
-        together = analysis.theorem1_statistics(sc, 1.0, 3, range(4))
-        alone = [analysis.theorem1_statistics(sc, 1.0, 3, [r])[0] for r in range(4)]
-        assert together.tolist() == alone
+        wide_model, wide_process = _wide_ring()
+        for model, process, horizon, R in ((reference_model, reference_process, 70, 4),
+                                           (wide_model, wide_process, 13, 8)):
+            sc = analysis.Scenario(model=model, process=process, delta=0.1, horizon=horizon,
+                                   checkpoints=(7, horizon), learning_rate="unit")
+
+            def records(trials):
+                *series, gap = analysis.simulate_trials(model, process, 1.0, horizon, 3,
+                                                        trials)
+                return (*series, analysis.theorem1_statistics(sc, 1.0, 3, trials),
+                        analysis.prop1_statistics(sc, 1.0, 3, trials)), gap
+
+            batch, gap = records(range(R))
+            more, _ = records(range(R + 3))
+            alone = [records([r]) for r in range(R)]
+            names = ("tv_error", "kl_increment", "centralized_tv", "theorem1", "prop1")
+            for f, name in enumerate(names):
+                assert np.array_equal(more[f][:R], batch[f]), name
+                assert np.array_equal(np.concatenate([a[f] for a, _ in alone]), batch[f]), name
+            assert gap == max(g for _, g in alone)
 
     @pytest.mark.parametrize("block_elements, groups", [(analysis.BLOCK_ELEMENTS, 1), (1, 4)])
     def test_network_advanced_once_per_block(
             self, reference_model, reference_process, monkeypatch, block_elements, groups):
-        # one advance call per block of STEP_BLOCK steps of each trial group,
-        # never one per step
+        # one advance call per block of each trial group: on a small model a
+        # block is STEP_BLOCK steps of every trial, never one call per step;
+        # a bound of one value leaves room for one step of one trial
         monkeypatch.setattr(analysis, "BLOCK_ELEMENTS", block_elements)
-        calls = []
-
-        def counted(self, *args, _advance=network.NetworkProcess.advance):
-            calls.append(len(args[2]))
-            return _advance(self, *args)
-        monkeypatch.setattr(network.NetworkProcess, "advance", counted)
+        calls = _count_advance_calls(monkeypatch)
         analysis.simulate_trials(reference_model, reference_process, 1.0, 130, 3, range(4))
         assert math.ceil(130 / analysis.STEP_BLOCK) == 3
-        assert calls == [64, 64, 2] * groups
+        steps = [64, 64, 2] if groups == 1 else [1] * 130
+        assert calls == [(s, 4 // groups) for s in steps] * groups
+
+    @pytest.mark.parametrize("R", [1, 8, 9, 10])
+    def test_wide_model_advances_its_trials_together(self, monkeypatch, R):
+        # n x m = 600 > 512: blocks of 6 steps with room for 9 trials, so up
+        # to 9 trials advance in one call per block, and a block never holds
+        # more than BLOCK_ELEMENTS values
+        model, process = _wide_ring()
+        assert model.n * model.m == 600
+        assert analysis.block_shape(model.n, model.m) == (6, 9)
+        calls = _count_advance_calls(monkeypatch)
+        analysis.prop1_statistics(analysis.Scenario(
+            model=model, process=process, delta=0.1, horizon=20, checkpoints=(20,),
+            learning_rate="unit"), 1.0, 3, range(R))
+        groups = [R] if R <= 9 else [9, R - 9]
+        assert calls == [(s, g) for g in groups for s in (6, 6, 6, 2)]
+        assert max(s * g for s, g in calls) * 600 <= analysis.BLOCK_ELEMENTS
 
     @pytest.mark.parametrize("kind", ["gossip", "fixed"])
     def test_prop1_checkpoints_in_one_pass(self, reference_model, kind):
@@ -294,15 +313,20 @@ def engine_cases(draw):
     }
 
 
-def _random_case(n, m, kind, seed):
-    """A model with mixed alphabet sizes and a connected process of the given kind."""
-    rng = np.random.default_rng(seed)
+def _random_model(rng, n, m):
+    """n agents and m states, with alphabet sizes from 2 to 4."""
     anchor = [[b, 1 - b] for b in np.linspace(0.15, 0.85, m)]  # distinct rows
     tables = [anchor]
     for _ in range(n - 1):
         t = rng.uniform(0.1, 1.0, size=(m, int(rng.integers(2, 5))))
         tables.append(t / t.sum(axis=1, keepdims=True))
-    model = signals.SignalModel(tables)
+    return signals.SignalModel(tables)
+
+
+def _random_case(n, m, kind, seed):
+    """A model with mixed alphabet sizes and a connected process of the given kind."""
+    rng = np.random.default_rng(seed)
+    model = _random_model(rng, n, m)
     if kind == "fixed":
         return model, network.fixed_process(random_mixing_matrix(rng, n))
     if kind == "gossip":
@@ -314,6 +338,23 @@ def _random_case(n, m, kind, seed):
     probs[-1] = 1.0 - probs[:-1].sum()
     mats = [random_mixing_matrix(rng, n) for _ in range(3)]
     return model, network.finite_support_process(list(zip(mats, probs)))
+
+
+def _wide_ring(n=200, m=3, seed=11):
+    """A gossip ring of n agents with a random model of mixed alphabet sizes."""
+    model = _random_model(np.random.default_rng(seed), n, m)
+    return model, network.gossip_process(cycle_graph(n))
+
+
+def _count_advance_calls(monkeypatch) -> list:
+    """A list that gets (steps, trials) of each `NetworkProcess.advance` call."""
+    calls = []
+
+    def counted(self, phi, u, psi, _advance=network.NetworkProcess.advance):
+        calls.append(psi.shape[:2])
+        return _advance(self, phi, u, psi)
+    monkeypatch.setattr(network.NetworkProcess, "advance", counted)
+    return calls
 
 
 def _oracle_replay(model, process, horizon, base_seed, trial):
@@ -330,10 +371,25 @@ def _oracle_replay(model, process, horizon, base_seed, trial):
 @settings(max_examples=60, deadline=None)
 @given(engine_cases())
 def test_batched_potentials_match_oracle(case):
-    # the metric reduction too: TV errors and KL increments at an eta other than 1
-    eta = 0.7
     model, process = _random_case(case["n"], case["m"], case["kind"], case["seed"])
-    horizon, trials, seed = case["horizon"], case["trials"], case["seed"]
+    _check_against_oracle(model, process, case["horizon"], case["trials"], case["seed"])
+
+
+def test_wide_model_matches_oracle():
+    # n x m = 600 > 512: 6-step blocks of both trials, padded tables of
+    # alphabets 2 to 4 on 200 agents, and a horizon across 11 block edges;
+    # the slow per-agent metrics are checked on every 7th agent
+    model, process = _wide_ring()
+    assert analysis.block_shape(model.n, model.m)[0] == 6
+    assert {t.shape[1] for t in model.tables} == {2, 3, 4}
+    _check_against_oracle(model, process, 70, 2, 5, agents=slice(None, None, 7))
+
+
+def _check_against_oracle(model, process, horizon, trials, seed, agents=slice(None)):
+    """The engine's potentials equal the oracle's on every trial, step and
+    agent, and its TV errors, KL increments (at eta = 0.7) and closed-form
+    potentials on the given agents, all to 1e-8."""
+    eta = 0.7
     blocks = list(analysis.potential_blocks(model, process, horizon, seed, range(trials)))
     dec = np.concatenate([d for _, _, d, _ in blocks])   # T x R x n x m
     cen = np.concatenate([c for _, _, _, c in blocks])   # T x R x m
@@ -352,11 +408,11 @@ def test_batched_potentials_match_oracle(case):
             assert np.abs(cen[t, r] - c.phi).max() <= 1e-8
             mu_c = detection.centralized_belief(c)
             assert abs(centralized_tv[r, t] - 0.5 * np.abs(mu_c - truth).sum()) <= 1e-8
-            for i, mu in enumerate(detection.beliefs(d)):
+            for i, mu in list(enumerate(detection.beliefs(d)))[agents]:
                 assert abs(tv_error[r, t, i] - 0.5 * np.abs(mu - truth).sum()) <= 1e-8
                 assert abs(kl_increment[r, t, i] - prob.kl_divergence(mu, mu_c)) <= 1e-8
         psis = np.array([detection.log_marginal_matrix(model, s) for s in samples])
-        for i in range(model.n):
+        for i in range(model.n)[agents]:
             closed = detection.closed_form_phi(matrices, psis, i)
             assert np.abs(dec[-1, r, i] - closed).max() <= 1e-8
 

@@ -1,4 +1,5 @@
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -320,6 +321,20 @@ class TestMixingDeviation:
         # the 2-agent swap has ||W - J/n||_2 = 1: each power adds 1 to each sum
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert network.mixing_deviation_sum(swap, [1000]).tolist() == [[1000.0, 1000.0]]
+
+    def test_periodic_network_sums_in_closed_form(self):
+        # once C^s == C^(s-2) the powers alternate, so the largest t returns
+        # at once: the swap's sums are t, and the 4-cycle with weight 1/2 on
+        # each edge (eigenvalues 1, 0, 0, -1) adds 1.5 for power 0, then 1
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        ts = [network.T_MAX, 1, 2, 3, 4, 5, 1000]
+        start = time.perf_counter()
+        got = network.mixing_deviation_sum(swap, ts)
+        assert time.perf_counter() - start < 1.0
+        assert got.tolist() == [[float(t)] * 2 for t in ts]
+        half = 0.5 * np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
+        got = network.mixing_deviation_sum(half, ts)
+        assert got.tolist() == [[1.5 + (t - 1)] * 4 for t in ts]
 
     @settings(max_examples=25, deadline=None)
     @given(deviation_cases())
