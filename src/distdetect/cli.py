@@ -153,10 +153,8 @@ def cmd_spectral(cfg, args) -> int:
     }
     with _artifact(outdir, "spectral.json") as f:
         # one compact line: with indent, json falls back to its pure-Python
-        # encoder over all n^2 entries of E[W]; the newline is written on its
-        # own, so no second copy of that line is made
-        f.write(json.dumps(doc, sort_keys=True))
-        f.write("\n")
+        # encoder over all n^2 entries of E[W]
+        f.write(json.dumps(doc, sort_keys=True) + "\n")
     print(f"sigma2 = {s2:.12f}, spectral gap = {1.0 - s2:.12f}, "
           f"connected = {doc['connected_in_expectation']}")
     return 0

@@ -1,8 +1,7 @@
 """Finite-alphabet signal models and the information quantities they induce.
 
 A model is one likelihood table per agent (rows = states, columns = alphabet
-symbols), held stacked in one array padded to the widest alphabet, and the
-index of the true state. All entries must be strictly
+symbols) and the index of the true state. All entries must be strictly
 positive so the uniform log-likelihood bound B is finite, and the true state
 must be globally identifiable: every false state is distinguished by at least
 one agent.
@@ -17,88 +16,52 @@ EQUIV_TOL = 1e-12  # per-entry tolerance for observational equivalence
 
 
 class SignalModel:
-    """The agents' tables stacked into one array, and the index of the true state.
-
-    Row k of table i is l_i(.|theta_k). `likelihoods` holds table i at
-    likelihoods[i, :, :symbols], padded with 1.0 to the widest alphabet A, and
-    `shapes[i]` is its own (states, symbols); n, m and each alphabet size are
-    read off them.
-    """
+    """Row k of tables[i] is l_i(.|theta_k); n, m and each alphabet size are read off them."""
 
     def __init__(self, tables, true_index: int = 0):
-        self.likelihoods, self.shapes = _stack(tables)
+        self.tables = tuple(np.asarray(t, dtype=float) for t in tables)
         self.true_index = true_index
         validate_model(self)
 
     @property
     def n(self) -> int:
-        return len(self.shapes)
+        return len(self.tables)
 
     @property
     def m(self) -> int:
-        return int(self.shapes[0, 0])
-
-    @property
-    def tables(self) -> tuple:
-        """Each agent's own table, states x symbols, as views of `likelihoods`."""
-        return tuple(t[:, :a] for t, a in zip(self.likelihoods, self.shapes[:, 1]))
-
-
-def _stack(tables):
-    """The tables as one float array padded with 1.0 to the most rows and symbols, and
-    each table's shape; raises on fewer than 2 tables, then on one that is not 2-d."""
-    arrays = [np.asarray(t, dtype=float) for t in tables]
-    if len(arrays) < 2:
-        raise DistDetectError(f"need at least 2 agents, got {len(arrays)}")
-    for i, t in enumerate(arrays):
-        if t.ndim != 2:
-            raise DistDetectError(
-                f"agent {i} table has shape {t.shape}; it must be 2-d (states x symbols)")
-    shapes = np.array([t.shape for t in arrays])
-    stacked = np.ones((len(arrays), *shapes.max(axis=0)))
-    for padded, t in zip(stacked, arrays):
-        padded[:len(t), :t.shape[1]] = t
-    return stacked, shapes
-
-
-def _row_sums(x, symbols) -> np.ndarray:
-    """x[i, k, :symbols[i]].sum() for every agent i and row k, each summed as NumPy sums
-    that row of agent i's own table (agents of one alphabet size at a time)."""
-    out = np.empty(x.shape[:2])
-    for width in set(symbols.tolist()):  # np.unique would import numpy.ma
-        agents = symbols == width
-        out[agents] = x[agents, :, :width].sum(axis=2)
-    return out
+        return self.tables[0].shape[0]
 
 
 def validate_model(model) -> None:
     """Check the assumptions in order and raise on the first one violated: n >= 2,
-    2-d tables (both checked as `SignalModel` stacks the tables), m >= 2, the true
-    index, then agent by agent one row per state, positive entries and rows summing
-    to 1, and last global identifiability."""
+    2-d tables, m >= 2, the true index, one row per state, positive entries, rows
+    summing to 1 and global identifiability."""
+    if model.n < 2:
+        raise DistDetectError(f"need at least 2 agents, got {model.n}")
+    for i, t in enumerate(model.tables):
+        if t.ndim != 2:
+            raise DistDetectError(
+                f"agent {i} table has shape {t.shape}; it must be 2-d (states x symbols)")
     m, true = model.m, model.true_index
     if m < 2:
         raise DistDetectError(f"need at least 2 states, got m={m}")
     if not 0 <= true < m:
         raise DistDetectError(f"true_index {true} outside [0, {m})")
-    rows, symbols = model.shapes.T
-    tables = model.likelihoods[:, :m]
-    nonpositive = ~(tables > 0).all(axis=(1, 2))
-    sums = _row_sums(tables, symbols)
-    bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-    faults = (rows != m) | nonpositive | bad.any(axis=1)
-    if faults.any():
-        i = int(np.argmax(faults))  # the first agent at fault
-        if rows[i] != m:
-            raise DistDetectError(f"agent {i} table has {rows[i]} rows, model has {m} states")
-        if nonpositive[i]:
+    for i, t in enumerate(model.tables):
+        if t.shape[0] != m:
+            raise DistDetectError(
+                f"agent {i} table has {t.shape[0]} rows, model has {m} states"
+            )
+        if not np.all(t > 0):
             raise DistDetectError(
                 f"agent {i} table has a non-positive or NaN entry; log-bound would be infinite"
             )
-        raise DistDetectError(f"agent {i} rows {np.flatnonzero(bad[i]).tolist()} "
-                              f"sum to {sums[i, bad[i]]}")
+        sums = t.sum(axis=1)
+        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
+        if np.any(bad):
+            raise DistDetectError(f"agent {i} rows {np.flatnonzero(bad).tolist()} sum to {sums[bad]}")
 
-    common = equivalent_states(model, range(model.n))
+    common = set.intersection(*(equivalent_states(model, i) for i in range(model.n)))
     if common != {true}:
         raise DistDetectError(
             f"states {sorted(common - {true})} are observationally "
@@ -108,26 +71,32 @@ def validate_model(model) -> None:
 
 def log_bound_B(model) -> float:
     """Tightest uniform bound B on |log l_i(s|theta_k)| over all i, k, s."""
-    return float(np.abs(np.log(model.likelihoods)).max())  # the padding adds |log 1| = 0
+    return max(float(np.abs(np.log(t)).max()) for t in model.tables)
 
 
-def equivalent_states(model, agents) -> set:
-    """States whose likelihood row matches the true state's row for every agent in
-    `agents`, one agent's index or several."""
-    t = model.likelihoods[np.atleast_1d(agents)]
-    close = np.abs(t - t[:, [model.true_index]]).max(axis=2) <= EQUIV_TOL
-    return set(np.flatnonzero(close.all(axis=0)).tolist())
+def equivalent_states(model, agent: int):
+    """State indices whose likelihood row matches the true state's row for this agent."""
+    t = model.tables[agent]
+    truth = t[model.true_index]
+    close = np.abs(t - truth).max(axis=1) <= EQUIV_TOL
+    return set(np.flatnonzero(close).tolist())
 
 
 def pairwise_rates(model) -> np.ndarray:
     """I(theta_1, theta_k) = (1/n) sum_i D_KL(row_true || row_k) for every state k.
 
     Each agent's divergence is sum_s p log(p / q) over its row, clipped at 0
-    as rounding noise, and the agents are added in order. The entry at the
-    true state is 0.
+    as rounding noise, and the agents are added in order; agents are stacked
+    by alphabet size, so one sweep covers all agents with the same size. The
+    entry at the true state is 0.
     """
-    p = model.likelihoods[:, [model.true_index]]
-    kl = np.maximum(_row_sums(p * np.log(p / model.likelihoods), model.shapes[:, 1]), 0.0)
+    true = model.true_index
+    kl = np.empty((model.n, model.m))
+    for size in {t.shape[1] for t in model.tables}:
+        rows = [i for i, t in enumerate(model.tables) if t.shape[1] == size]
+        tab = np.stack([model.tables[i] for i in rows])  # (agents, m, size)
+        p = tab[:, [true]]
+        kl[rows] = np.maximum((p * np.log(p / tab)).sum(axis=2), 0.0)
     return np.cumsum(kl, axis=0)[-1] / model.n  # cumsum adds in agent order
 
 
@@ -160,8 +129,10 @@ def padded_tables(model):
     symbol on are +inf, so for a uniform u the count of entries <= u is the
     symbol `sample_step` draws for u, capped at the agent's last symbol.
     """
-    likelihoods = model.likelihoods
-    cdf = np.cumsum(likelihoods[:, model.true_index], axis=1)
-    cdf[np.arange(cdf.shape[1]) >= model.shapes[:, 1:] - 1] = np.inf
-    # the padding's log 1 = 0 fills each agent's symbols past its own
-    return cdf, np.log(likelihoods).transpose(0, 2, 1).copy()
+    width = max(t.shape[1] for t in model.tables)
+    cdf = np.full((model.n, width), np.inf)
+    logtab = np.zeros((model.n, width, model.m))
+    for i, t in enumerate(model.tables):
+        cdf[i, :t.shape[1] - 1] = np.cumsum(t[model.true_index])[:-1]
+        logtab[i, :t.shape[1]] = np.log(t).T
+    return cdf, logtab

@@ -530,6 +530,11 @@ def test_artifacts_independent_of_core_count(tmp_path):
     # a finite support that is not a list of mappings
     ({"network": {"kind": "finite_support", "support": [[0.5, 0.5]]}}, [], "support"),
     ({"network": {"kind": "finite_support", "support": 5}}, [], "support"),
+    # a 2 x 2^16 table beside a 2^16 x 2 one: the row count is refused before
+    # anything is sized by the largest rows and symbols (2 x 2^16 x 2^16 floats)
+    ({"signal_model.agents": [[[2.0**-16] * 2**16] * 2, [[0.5, 0.5]] * 2**16]
+      + SMALL_CONFIG["signal_model"]["agents"][2:]}, [],
+     "agent 1 table has 65536 rows, model has 2 states"),
 ])
 def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, overrides, flags, field):
     # an exception escaping main would fail the test: that is the traceback

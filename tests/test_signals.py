@@ -1,6 +1,4 @@
-import ast
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,131 +175,3 @@ def test_law_of_large_numbers(two_agent_model):
     expected = kl_divergence(table[0], table[1])
     se = gaps.std(ddof=1) / math.sqrt(n_draws)
     assert abs(gaps.mean() - expected) <= 3 * se
-
-
-def _per_agent_check(tables, true):
-    """The model's first violated assumption, checked table by table; None if it holds."""
-    tables = [np.asarray(t, dtype=float) for t in tables]
-    if len(tables) < 2:
-        return f"need at least 2 agents, got {len(tables)}"
-    for i, t in enumerate(tables):
-        if t.ndim != 2:
-            return f"agent {i} table has shape {t.shape}; it must be 2-d (states x symbols)"
-    m = tables[0].shape[0]
-    if m < 2:
-        return f"need at least 2 states, got m={m}"
-    if not 0 <= true < m:
-        return f"true_index {true} outside [0, {m})"
-    for i, t in enumerate(tables):
-        if t.shape[0] != m:
-            return f"agent {i} table has {t.shape[0]} rows, model has {m} states"
-        if not np.all(t > 0):
-            return f"agent {i} table has a non-positive or NaN entry; log-bound would be infinite"
-        sums = t.sum(axis=1)
-        bad = np.abs(sums - 1.0) > signals.ROW_SUM_TOL
-        if np.any(bad):
-            return f"agent {i} rows {np.flatnonzero(bad).tolist()} sum to {sums[bad]}"
-    common = set.intersection(*(_per_agent_equivalent(t, true) for t in tables))
-    if common != {true}:
-        return (f"states {sorted(common - {true})} are observationally "
-                "equivalent to the true state for every agent")
-    return None
-
-
-def _per_agent_equivalent(t, true):
-    return set(np.flatnonzero(np.abs(t - t[true]).max(axis=1) <= signals.EQUIV_TOL).tolist())
-
-
-def _stacking_cases():
-    """Tables of mixed alphabet sizes (1 to 11 symbols), valid and with each
-    kind of fault planted, and the true index of each."""
-    rng = np.random.default_rng(5)
-    for case in range(240):
-        n, m = int(rng.integers(2, 9)), int(rng.integers(2, 5))
-        tables = []
-        for _ in range(n):
-            t = rng.uniform(0.05, 1.0, size=(m, int(rng.integers(1, 12))))
-            tables.append(t / t.sum(axis=1, keepdims=True))
-        i = int(rng.integers(n))
-        fault = case % 12  # 0 and 10, 11: no fault
-        if fault == 1:
-            tables[i][0, 0] = 0.0
-        elif fault == 2:
-            tables[i][int(rng.integers(m)), 0] += 0.3
-        elif fault == 3:
-            tables[i] = tables[i][:1]  # too few rows
-        elif fault == 4:
-            tables[i] = np.vstack([tables[i], tables[i][:1]])  # too many rows
-        elif fault == 5:
-            tables[i][-1, -1] = np.nan
-        elif fault == 6:
-            for t in tables:  # state 1 looks like the true state to everyone
-                t[1] = t[0]
-        elif fault == 7:
-            tables[i] = tables[i][0]  # a 1-d table
-        elif fault in (8, 9):  # two faults, maybe in one agent: the first one counts
-            j = int(rng.integers(n))
-            tables[j][0, -1] += 0.3
-            if fault == 8:
-                tables[i][-1, 0] = -0.1
-            else:
-                tables[i] = tables[i][:1]
-        yield tables, m if case % 16 == 0 else 0  # an index out of range
-
-
-class TestStackedModel:
-    # the stacked model against per-agent definitions written out here
-
-    def test_messages_and_their_order_unchanged(self):
-        outcomes = []
-        for tables, true in _stacking_cases():
-            want = _per_agent_check(tables, true)
-            try:
-                signals.SignalModel(tables, true)
-                got = None
-            except DistDetectError as exc:
-                got = str(exc)
-            assert got == want
-            outcomes.append(want)
-        assert None in outcomes
-        for check in ("must be 2-d", "got m=", "true_index", "rows, model has", "non-positive",
-                      "sum to", "observationally"):
-            assert any(check in (o or "") for o in outcomes), check
-
-    def test_quantities_bit_equal_to_per_agent_definitions(self):
-        valid = 0
-        for tables, true in _stacking_cases():
-            if _per_agent_check(tables, true) is not None:
-                continue
-            valid += 1
-            model = signals.SignalModel(tables, true)
-            n, m = len(tables), len(tables[0])
-            width = max(t.shape[1] for t in tables)
-            cdf, logtab = np.full((n, width), np.inf), np.zeros((n, width, m))
-            for i, t in enumerate(tables):
-                cdf[i, :t.shape[1] - 1] = np.cumsum(t[true])[:-1]
-                logtab[i, :t.shape[1]] = np.log(t).T
-            got_cdf, got_logtab = signals.padded_tables(model)
-            assert np.array_equal(got_cdf, cdf) and np.array_equal(got_logtab, logtab)
-            assert got_logtab.flags.c_contiguous
-            assert signals.log_bound_B(model) == max(np.abs(np.log(t)).max() for t in tables)
-            kl = [np.maximum((t[true] * np.log(t[true] / t)).sum(axis=1), 0.0) for t in tables]
-            assert np.array_equal(signals.pairwise_rates(model), np.cumsum(kl, axis=0)[-1] / n)
-            for i, t in enumerate(tables):
-                assert signals.equivalent_states(model, i) == _per_agent_equivalent(t, true)
-        assert valid >= 40
-
-    def test_oracle_reads_each_agents_own_table(self):
-        # detection.py reads `tables`, each agent's own unpadded table, and
-        # never the stacked array the command uses
-        for tables, true in _stacking_cases():
-            if _per_agent_check(tables, true) is not None:
-                continue
-            model = signals.SignalModel(tables, true)
-            assert all(np.array_equal(a, b) for a, b in zip(model.tables, tables, strict=True))
-            sample = [t.shape[1] - 1 for t in tables]
-            want = np.stack([np.log(t[:, s]) for t, s in zip(tables, sample)])
-            assert np.array_equal(detection.log_marginal_matrix(model, sample), want)
-        source = ast.parse(Path(detection.__file__).read_text())
-        read = {node.attr for node in ast.walk(source) if isinstance(node, ast.Attribute)}
-        assert "tables" in read and "likelihoods" not in read
