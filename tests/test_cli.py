@@ -178,6 +178,30 @@ class TestSimulateCommand:
         assert b"-inf" in written
         assert written == ref.getvalue().encode()
 
+    def test_csv_bytes_match_reference_writer_on_fixed_network(self, tmp_path, monkeypatch):
+        # a fixed Metropolis 8-cycle (n = 8, m = 2), whose one atom takes no
+        # uniform, written in a single chunk larger than the table
+        monkeypatch.setattr(cli, "CSV_CHUNK", 10**6)
+        path = write_config(tmp_path, {
+            "signal_model.agents": [[[0.8, 0.2], [0.2, 0.8]], [[0.5, 0.5], [0.5, 0.5]]] * 4,
+            "network": {"kind": "metropolis",
+                        "graph": {"n": 8, "edges": [[i, (i + 1) % 8] for i in range(8)]}},
+        })
+        cfg = load_config(path)
+        assert cfg.process.uniforms == 0
+        assert cli.main(["simulate", str(path)]) == 0
+        tv_error, kl_increment, centralized_tv, _ = analysis.simulate_trials(
+            cfg.model, cfg.process, 1.0, cfg.horizon, cfg.seed, range(cfg.trials))
+        with np.errstate(divide="ignore"):
+            log_tv = np.log(tv_error)
+        rows = [b"trial,t,agent,tv_error,log_tv_error,kl_increment,centralized_tv_error"]
+        for (r, t, i), tv in np.ndenumerate(tv_error):
+            rows.append(b"%d,%d,%d,%.17g,%.17g,%.17g,%.17g" % (
+                r, t + 1, i, tv, log_tv[r, t, i], kl_increment[r, t, i], centralized_tv[r, t]))
+        assert len(rows) - 1 == 3 * 40 * 8 < cli.CSV_CHUNK
+        written = (tmp_path / "out" / "trajectories.csv").read_bytes()
+        assert written == b"\r\n".join(rows) + b"\r\n"
+
     def test_csv_round_trips_floats(self, tmp_path):
         path = write_config(tmp_path)
         cli.main(["simulate", str(path)])
@@ -200,6 +224,62 @@ class TestSimulateCommand:
         assert max(float(r["tv_error"]) for r in rows) <= 1.0
         assert max(float(r["centralized_tv_error"]) for r in rows) <= 1.0
         assert max(float(r["log_tv_error"]) for r in rows) <= 0.0
+
+
+# '%.17g' edge cases: zeros, infinities and nan, the extreme doubles, every
+# power of ten (as 10.0**k and correctly rounded) with both neighbours, the
+# points where %g switches between fixed and exponent notation, and two
+# exact ties (round half to even)
+FLOAT_EDGES = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1234567890123456.75, 1234567890123456.25]
+FLOAT_EDGES += [v for p in [10.0**k for k in range(-323, 309)]
+                + [float(f"1e{k}") for k in range(-323, 309)] + [1e-5, 1e-4, 1e16, 1e17]
+                for v in (np.nextafter(p, 0), p, np.nextafter(p, math.inf))]
+
+
+def format17_text(values, sep=b","):
+    words = np.ascontiguousarray(cli._format17(np.asarray(values, np.float64), sep))
+    return [bytes(row[row != 0]) for row in words.view(np.uint8)]
+
+
+class TestFormat17:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64))),
+        st.floats()), min_size=1, max_size=40))
+    def test_matches_python(self, values):
+        assert format17_text(values) == [b"%.17g," % v for v in values]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_python_on_random_doubles(self, seed):
+        # random bit patterns, and magnitudes uniform in log scale
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([rng.integers(0, 2**64, 20000, np.uint64).view(np.float64),
+                                 np.exp(rng.uniform(-740, 709, 20000))])
+        assert format17_text(values) == [b"%.17g," % v for v in values.tolist()]
+        # Python formats only the few values whose 17 digits are in doubt
+        finite = np.abs(values[np.isfinite(values) & (values != 0)])
+        assert np.count_nonzero(~cli._round17(finite)[2]) < 0.01 * len(finite)
+
+    def test_named_edges(self):
+        values = FLOAT_EDGES + [-v for v in FLOAT_EDGES]
+        assert format17_text(values, b"\r\n") == [b"%.17g\r\n" % v for v in values]
+
+    def test_exact_ties_fall_back_to_python(self):
+        ties = [1234567890123456.75, 1234567890123456.25]
+        assert not cli._round17(np.array(ties))[2].any()
+        assert format17_text(ties) == [b"1234567890123456.8,", b"1234567890123456.2,"]
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_exponent_off_by_one_falls_back_to_python(self, monkeypatch, off):
+        # floor(log10 |v|) can miss by one next to a power of ten; every such
+        # value must be left to Python, whichever way it misses
+        rng = np.random.default_rng(7)
+        values = np.exp(rng.uniform(-690, 690, 5000)) * rng.choice([-1, 1], 5000)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+        assert not cli._round17(np.abs(values))[2].any()
+        assert format17_text(values) == [b"%.17g," % v for v in values.tolist()]
 
 
 class TestVerifyCommand:
@@ -423,6 +503,12 @@ def test_command_imports_no_oracle():
     res = run_python(["-c", "import sys, distdetect.cli; print(*(m in sys.modules for m in "
                             "('distdetect.detection', 'distdetect.prob')))"])
     assert res.stdout.split() == ["False", "False"], res.stderr
+
+
+def test_command_import_builds_no_table():
+    # the CSV formatter's tables cost start-up time that only `simulate` needs
+    res = run_python(["-c", "import distdetect.cli as c; print(c._tables.cache_info().currsize)"])
+    assert res.stdout.split() == ["0"], res.stderr
 
 
 def test_module_entry_point_exits_2_without_traceback(tmp_path):
