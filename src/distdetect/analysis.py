@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import network, signals
-from .errors import DistDetectError
+from .errors import ConfigInvalid, DistDetectError
 
 
 def trial_rng(base_seed: int, trial: int):
@@ -312,28 +312,34 @@ def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list
     """Estimate the violation frequency of a bound over R independent trials.
 
     Returns one report dict for theorem1 (at the horizon) and one per
-    checkpoint for prop1, all from one engine run. Fails closed: a NaN or
+    checkpoint for prop1, all from one engine run. Each report names its
+    `seed`, its `checkpoint` (None for theorem1) and its `horizon` (None for
+    prop1, which runs only to its last checkpoint). Fails closed: a NaN or
     +inf statistic counts as a violation and fails the verdict outright.
     Only -inf, the log of a TV error that underflowed to 0, is a legitimate
     non-finite statistic.
     """
     if which not in ("theorem1", "prop1"):
         raise DistDetectError(f"unknown verification target {which!r}")
+    if which == "prop1" and not sc.checkpoints:
+        raise ConfigInvalid("prop1 verification needs at least one checkpoint")
     if R < 1:
         raise DistDetectError("need at least one trial")
     B, _, I, s2, eta = bound_inputs(sc)
     m, n, delta = sc.model.m, sc.model.n, sc.delta
     if which == "theorem1":
+        checkpoints, horizon = [None], sc.horizon
         bounds = [theorem1_bound(B, I, m, n, delta, s2)]
         statistics = theorem1_statistics(sc, eta, base_seed, range(R))[:, None]
     else:
+        checkpoints, horizon = sc.checkpoints, None
         bounds = [prop1_log_tv_bound(B, I, m, n, delta, s2, t, eta=eta)
-                  for t in sc.checkpoints]
+                  for t in checkpoints]
         statistics = prop1_statistics(sc, eta, base_seed, range(R))
 
     slack = 3.0 * math.sqrt(delta * (1.0 - delta) / R)
     reports = []
-    for bound, stats in zip(bounds, statistics.T):
+    for t, bound, stats in zip(checkpoints, bounds, statistics.T):
         broken = np.isnan(stats) | (stats == np.inf)
         violations = int(np.count_nonzero(broken | (stats > bound["total"])))
         rate = violations / R
@@ -341,6 +347,7 @@ def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list
         reports.append({
             "which": which, "trials": R, "violations": violations, "violation_rate": rate,
             "delta": delta, "slack": slack, "bound": bound,
+            "seed": base_seed, "checkpoint": t, "horizon": horizon,
             "verdict": "pass" if rate <= delta + slack and not broken.any() else "fail",
             "trial_stats": {
                 "eta": eta,

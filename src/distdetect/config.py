@@ -34,20 +34,19 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _build_process(spec: dict) -> network.NetworkProcess:
-    kind = spec["kind"]
+def _build_process(spec) -> network.NetworkProcess:
+    kind = _node(spec, "network", ("kind", "matrix", "support", "graph"))["kind"]
     if kind == "fixed":
         return network.fixed_process(_rows(spec["matrix"], "matrix"))
     if kind == "finite_support":
-        support = spec["support"]
-        if not isinstance(support, list) or not all(isinstance(s, dict) for s in support):
-            raise ConfigInvalid("support must be a list of mappings with matrix and prob")
+        support = [_node(item, "support entry", ("matrix", "prob"))
+                   for item in _node(spec["support"], "support")]
         pairs = [(_rows(item["matrix"], "matrix"), _finite(item["prob"], "prob"))
                  for item in support]
         return network.finite_support_process(pairs)
     if kind not in ("gossip", "metropolis"):
         raise ConfigInvalid(f"unknown network kind {kind!r}")
-    g = spec["graph"]
+    g = _node(spec["graph"], "graph", ("n", "edges"))
     n, edges = _whole(g["n"], "graph n", 1), g["edges"]
     if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2
                                               for e in edges):
@@ -57,6 +56,17 @@ def _build_process(spec: dict) -> network.NetworkProcess:
     if kind == "gossip":
         return network.gossip_process(graph)
     return network.fixed_process(network.metropolis_matrix(graph))
+
+
+def _node(value, name: str, keys=None):
+    """`value` if it is a mapping whose keys are all among `keys`, or for keys None a list."""
+    if not isinstance(value, list if keys is None else dict):
+        what = "a list" if keys is None else "a mapping"
+        raise ConfigInvalid(f"{name} must be {what}, got {type(value).__name__}")
+    for key in value if keys is not None else ():
+        if key not in keys:
+            raise ConfigInvalid(f"{name} has unknown key {key!r} (known: {', '.join(keys)})")
+    return value
 
 
 def _whole(value, name: str, minimum: int, maximum=math.inf) -> int:
@@ -94,12 +104,6 @@ def load_config(path) -> ScenarioConfig:
             raw = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigInvalid(f"cannot read {path}: {exc}") from exc
-    return build_config(raw)
-
-
-def build_config(raw: dict) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ConfigInvalid(f"config must be a mapping, got {type(raw).__name__}")
     try:
         return _build_config(raw)
     except ConfigInvalid:
@@ -109,9 +113,11 @@ def build_config(raw: dict) -> ScenarioConfig:
         raise ConfigInvalid(prefix + str(exc)) from exc
 
 
-def _build_config(raw: dict) -> ScenarioConfig:
-    spec = raw["signal_model"]
-    model = signals.SignalModel([_rows(t, "agents") for t in spec["agents"]],
+def _build_config(raw) -> ScenarioConfig:
+    _node(raw, "config", ("signal_model", "network", "horizon", "trials", "seed", "delta",
+                          "learning_rate", "output_dir", "checkpoints"))
+    spec = _node(raw["signal_model"], "signal_model", ("agents", "true_state"))
+    model = signals.SignalModel([_rows(t, "agents") for t in _node(spec["agents"], "agents")],
                                 _whole(spec.get("true_state", 0), "true_state", 0))
     process = _build_process(raw["network"])
     horizon = _whole(raw.get("horizon", 1), "horizon", 1, network.T_MAX)
@@ -128,7 +134,8 @@ def _build_config(raw: dict) -> ScenarioConfig:
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigInvalid(f"output_dir must be a string, got {output_dir!r}")
-    checkpoints = tuple(_whole(t, "checkpoints", 1) for t in raw.get("checkpoints", ()))
+    checkpoints = tuple(_whole(t, "checkpoints", 1)
+                        for t in _node(raw.get("checkpoints", []), "checkpoints"))
     for t in checkpoints:
         if t > horizon:
             raise ConfigInvalid(f"checkpoint {t} outside [1, horizon={horizon}]")

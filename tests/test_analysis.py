@@ -140,6 +140,18 @@ class TestMonteCarlo:
         assert a["violations"] == b["violations"]
         assert a["violation_rate"] == b["violation_rate"]
 
+    def test_reports_name_seed_checkpoint_and_horizon(self, reference_model,
+                                                      reference_process):
+        sc = analysis.Scenario(
+            model=reference_model, process=reference_process,
+            delta=0.1, horizon=30, checkpoints=(10, 20), learning_rate="unit",
+        )
+        reports = analysis.monte_carlo_verify(sc, "prop1", R=2, base_seed=3)
+        assert [(r["seed"], r["checkpoint"], r["horizon"]) for r in reports] == [
+            (3, 10, None), (3, 20, None)]
+        [rep] = analysis.monte_carlo_verify(sc, "theorem1", R=2, base_seed=4)
+        assert (rep["seed"], rep["checkpoint"], rep["horizon"]) == (4, None, 30)
+
     def test_huge_delta_trivially_passes(self, reference_model, reference_process):
         sc = analysis.Scenario(
             model=reference_model, process=reference_process,
@@ -417,8 +429,8 @@ def _check_against_oracle(model, process, horizon, trials, seed, agents=slice(No
             assert np.abs(dec[-1, r, i] - closed).max() <= 1e-8
 
 
-# the modules `import distdetect.cli` loads; loads elsewhere, as in the oracle, are no use
-COMMAND_MODULES = ["analysis", "signals", "config", "cli", "errors", "network"]
+# the modules the command loads; loads elsewhere, as in the oracle, are no use
+COMMAND_MODULES = ["analysis", "signals", "config", "cli", "errors", "network", "trajectories"]
 # public names that nothing in the command's modules loads, each kept on purpose
 UNUSED_IN_SRC = {
     "sample_step": "the oracle's signal draw, which the batched sampler is checked against",

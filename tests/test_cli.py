@@ -13,7 +13,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from distdetect import analysis, cli, network, signals
+from distdetect import analysis, cli, network, signals, trajectories
 from distdetect.config import config_digest, load_config
 from distdetect.errors import ConfigInvalid
 
@@ -156,7 +156,7 @@ class TestSimulateCommand:
     def test_csv_bytes_match_reference_writer(self, tmp_path, monkeypatch):
         # rows are formatted in chunks; a chunk size that divides nothing
         # exercises rows split across chunks, trials and steps
-        monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+        monkeypatch.setattr(trajectories, "CSV_CHUNK", 7)
         path = write_config(tmp_path, {"learning_rate": 1000.0})  # TV underflows: -inf logs
         cfg = load_config(path)
         assert cli.main(["simulate", str(path)]) == 0
@@ -181,7 +181,7 @@ class TestSimulateCommand:
     def test_csv_bytes_match_reference_writer_on_fixed_network(self, tmp_path, monkeypatch):
         # a fixed Metropolis 8-cycle (n = 8, m = 2), whose one atom takes no
         # uniform, written in a single chunk larger than the table
-        monkeypatch.setattr(cli, "CSV_CHUNK", 10**6)
+        monkeypatch.setattr(trajectories, "CSV_CHUNK", 10**6)
         path = write_config(tmp_path, {
             "signal_model.agents": [[[0.8, 0.2], [0.2, 0.8]], [[0.5, 0.5], [0.5, 0.5]]] * 4,
             "network": {"kind": "metropolis",
@@ -198,7 +198,7 @@ class TestSimulateCommand:
         for (r, t, i), tv in np.ndenumerate(tv_error):
             rows.append(b"%d,%d,%d,%.17g,%.17g,%.17g,%.17g" % (
                 r, t + 1, i, tv, log_tv[r, t, i], kl_increment[r, t, i], centralized_tv[r, t]))
-        assert len(rows) - 1 == 3 * 40 * 8 < cli.CSV_CHUNK
+        assert len(rows) - 1 == 3 * 40 * 8 < trajectories.CSV_CHUNK
         written = (tmp_path / "out" / "trajectories.csv").read_bytes()
         assert written == b"\r\n".join(rows) + b"\r\n"
 
@@ -238,7 +238,7 @@ FLOAT_EDGES += [v for p in [10.0**k for k in range(-323, 309)]
 
 
 def format17_text(values, sep=b","):
-    words = np.ascontiguousarray(cli._format17(np.asarray(values, np.float64), sep))
+    words = np.ascontiguousarray(trajectories._format17(np.asarray(values, np.float64), sep))
     return [bytes(row[row != 0]) for row in words.view(np.uint8)]
 
 
@@ -259,7 +259,7 @@ class TestFormat17:
         assert format17_text(values) == [b"%.17g," % v for v in values.tolist()]
         # Python formats only the few values whose 17 digits are in doubt
         finite = np.abs(values[np.isfinite(values) & (values != 0)])
-        assert np.count_nonzero(~cli._round17(finite)[2]) < 0.01 * len(finite)
+        assert np.count_nonzero(~trajectories._round17(finite)[2]) < 0.01 * len(finite)
 
     def test_named_edges(self):
         values = FLOAT_EDGES + [-v for v in FLOAT_EDGES]
@@ -267,7 +267,7 @@ class TestFormat17:
 
     def test_exact_ties_fall_back_to_python(self):
         ties = [1234567890123456.75, 1234567890123456.25]
-        assert not cli._round17(np.array(ties))[2].any()
+        assert not trajectories._round17(np.array(ties))[2].any()
         assert format17_text(ties) == [b"1234567890123456.8,", b"1234567890123456.2,"]
 
     @pytest.mark.parametrize("off", [-1, 1])
@@ -278,7 +278,7 @@ class TestFormat17:
         values = np.exp(rng.uniform(-690, 690, 5000)) * rng.choice([-1, 1], 5000)
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
-        assert not cli._round17(np.abs(values))[2].any()
+        assert not trajectories._round17(np.abs(values))[2].any()
         assert format17_text(values) == [b"%.17g," % v for v in values.tolist()]
 
 
@@ -505,10 +505,25 @@ def test_command_imports_no_oracle():
     assert res.stdout.split() == ["False", "False"], res.stderr
 
 
-def test_command_import_builds_no_table():
-    # the CSV formatter's tables cost start-up time that only `simulate` needs
-    res = run_python(["-c", "import distdetect.cli as c; print(c._tables.cache_info().currsize)"])
-    assert res.stdout.split() == ["0"], res.stderr
+# whether the CSV formatter's module is loaded after `import distdetect.cli`
+# and after each command given in argv[2:], run in this process on argv[1]
+FORMATTER_LOADS = """
+import sys, distdetect.cli as cli
+seen = ["distdetect.trajectories" in sys.modules]
+for command in sys.argv[2:]:
+    assert cli.main([*command.split(), sys.argv[1]]) in (0, 1)
+    seen.append("distdetect.trajectories" in sys.modules)
+print(*seen)
+"""
+
+
+def test_only_simulate_loads_the_csv_formatter(tmp_path):
+    # its code and tables cost start-up time that only `simulate` needs
+    path = write_config(tmp_path)
+    res = run_python(["-c", FORMATTER_LOADS, str(path),
+                      "verify --which prop1", "verify --which theorem1", "spectral", "simulate"])
+    seen = res.stdout.splitlines()[-1:]  # the commands' own lines come before
+    assert seen == ["False False False False True"], res.stderr
 
 
 def test_module_entry_point_exits_2_without_traceback(tmp_path):
@@ -621,6 +636,18 @@ def test_artifacts_independent_of_core_count(tmp_path):
     ({"signal_model.agents": [[[2.0**-16] * 2**16] * 2, [[0.5, 0.5]] * 2**16]
       + SMALL_CONFIG["signal_model"]["agents"][2:]}, [],
      "agent 1 table has 65536 rows, model has 2 states"),
+    # a scalar in place of a mapping or list names its field
+    ({"signal_model": 5}, [], "signal_model must be a mapping, got int"),
+    ({"network": 5}, [], "network must be a mapping, got int"),
+    ({"network.graph": 5}, [], "graph must be a mapping, got int"),
+    ({"signal_model.agents": 5}, [], "agents must be a list, got int"),
+    ({"checkpoints": 5}, [], "checkpoints must be a list, got int"),
+    # a misspelled key is refused, not ignored
+    ({"horizonn": 10}, [], "config has unknown key 'horizonn'"),
+    ({"signal_model.true_stat": 0}, [], "signal_model has unknown key 'true_stat'"),
+    ({"network.graph.m": 3}, [], "graph has unknown key 'm'"),
+    ({"network": {"kind": "finite_support", "support": [{"matrix": RING4, "p": 1.0}]}},
+     [], "support entry has unknown key 'p'"),
 ])
 def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, overrides, flags, field):
     # an exception escaping main would fail the test: that is the traceback
