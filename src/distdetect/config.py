@@ -34,28 +34,35 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _build_process(spec) -> network.NetworkProcess:
-    kind = _node(spec, "network", ("kind", "matrix", "support", "graph"))["kind"]
+# the one key each network kind takes besides `kind`
+NETWORK_KEYS = {"fixed": "matrix", "finite_support": "support", "gossip": "graph",
+                "metropolis": "graph"}
+
+
+def _build_process(spec, n: int) -> network.NetworkProcess:
+    kind = _node(spec, "network", ("kind", "matrix", "support", "graph")).get("kind")
+    if not isinstance(kind, str) or kind not in NETWORK_KEYS:
+        raise ConfigInvalid(f"network kind must be one of {', '.join(NETWORK_KEYS)}, got {kind!r}")
+    value = _node(spec, f"{kind} network", ("kind", NETWORK_KEYS[kind]))[NETWORK_KEYS[kind]]
     if kind == "fixed":
-        return network.fixed_process(_rows(spec["matrix"], "matrix"))
+        return network.fixed_process(_rows(value, "matrix"))
     if kind == "finite_support":
         support = [_node(item, "support entry", ("matrix", "prob"))
-                   for item in _node(spec["support"], "support")]
+                   for item in _node(value, "support")]
         pairs = [(_rows(item["matrix"], "matrix"), _finite(item["prob"], "prob"))
                  for item in support]
         return network.finite_support_process(pairs)
-    if kind not in ("gossip", "metropolis"):
-        raise ConfigInvalid(f"unknown network kind {kind!r}")
-    g = _node(spec["graph"], "graph", ("n", "edges"))
-    n, edges = _whole(g["n"], "graph n", 1), g["edges"]
+    g = _node(value, "graph", ("n", "edges"))
+    if _whole(g["n"], "graph n", 1) != n:  # before anything is sized by it
+        raise ConfigInvalid(f"graph n must equal the number of agents, {n}, got {g['n']!r}")
+    edges = g["edges"]
     if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2
                                               for e in edges):
         raise ConfigInvalid("edges must be a list of two-element lists")
-    graph = network.Graph(n, frozenset(tuple(_whole(v, "edges endpoint", 0) for v in e)
-                                       for e in edges))
+    edges = [[_whole(v, "edges endpoint", 0) for v in e] for e in edges]
     if kind == "gossip":
-        return network.gossip_process(graph)
-    return network.fixed_process(network.metropolis_matrix(graph))
+        return network.gossip_process(n, edges)
+    return network.fixed_process(network.metropolis_matrix(n, edges))
 
 
 def _node(value, name: str, keys=None):
@@ -119,7 +126,7 @@ def _build_config(raw) -> ScenarioConfig:
     spec = _node(raw["signal_model"], "signal_model", ("agents", "true_state"))
     model = signals.SignalModel([_rows(t, "agents") for t in _node(spec["agents"], "agents")],
                                 _whole(spec.get("true_state", 0), "true_state", 0))
-    process = _build_process(raw["network"])
+    process = _build_process(raw["network"], model.n)
     horizon = _whole(raw.get("horizon", 1), "horizon", 1, network.T_MAX)
     trials = _whole(raw.get("trials", 1), "trials", 1)
     seed = _whole(raw.get("seed", 0), "seed", 0)

@@ -35,23 +35,18 @@ def validate_mixing(entries) -> np.ndarray:
     return w
 
 
-class Graph:
-    """n vertices and undirected edges, kept as a frozenset of sorted (i, j) tuples."""
-
-    def __init__(self, n: int, edges):
-        norm = set()
-        for i, j in edges:
-            i, j = operator.index(i), operator.index(j)
-            if i == j:
-                raise DistDetectError(f"self-loop on vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise DistDetectError(f"edge ({i},{j}) outside vertex range [0,{n})")
-            norm.add((min(i, j), max(i, j)))
-        self.n = n
-        self.edges = frozenset(norm)
-
-    def degrees(self) -> np.ndarray:
-        return np.bincount([v for e in self.edges for v in e], minlength=self.n)
+def _edge_pairs(n: int, edges):
+    """The distinct undirected edges as a sorted (E, 2) array of i < j pairs, and the degrees."""
+    norm = set()
+    for i, j in edges:
+        i, j = operator.index(i), operator.index(j)
+        if i == j:
+            raise DistDetectError(f"self-loop on vertex {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise DistDetectError(f"edge ({i},{j}) outside vertex range [0,{n})")
+        norm.add((min(i, j), max(i, j)))
+    pairs = np.array(sorted(norm), dtype=np.intp).reshape(-1, 2)
+    return pairs, np.bincount(pairs.ravel(), minlength=n)
 
 
 class NetworkProcess:
@@ -115,18 +110,17 @@ def fixed_process(entries) -> NetworkProcess:
     return finite_support_process([(entries, 1.0)])
 
 
-def gossip_process(graph: Graph) -> NetworkProcess:
+def gossip_process(n: int, edges) -> NetworkProcess:
     """Pair averages on the edges, edge (i, j) with probability (1/n)(1/d_i + 1/d_j).
 
     That is the law of a uniform agent averaging with a uniform neighbour.
     """
-    deg = graph.degrees()
+    pairs, deg = _edge_pairs(n, edges)
     if not deg.all():
         raise DistDetectError(f"vertex {int(np.argmin(deg))} has no neighbors")
-    pairs = np.array(sorted(graph.edges), dtype=np.intp)
     i, j = pairs.T
-    probs = (1.0 / graph.n) * (1.0 / deg[i]) + (1.0 / graph.n) * (1.0 / deg[j])
-    return NetworkProcess(n=graph.n, probs=probs, atoms=pairs)
+    probs = (1.0 / n) * (1.0 / deg[i]) + (1.0 / n) * (1.0 / deg[j])
+    return NetworkProcess(n=n, probs=probs, atoms=pairs)
 
 
 def finite_support_process(pairs) -> NetworkProcess:
@@ -146,14 +140,13 @@ def finite_support_process(pairs) -> NetworkProcess:
     return NetworkProcess(n=n, probs=probs, atoms=np.stack([w for w, _ in support]))
 
 
-def metropolis_matrix(g: Graph) -> np.ndarray:
+def metropolis_matrix(n: int, edges) -> np.ndarray:
     """Metropolis weights: w_ij = 1/(1 + max(deg i, deg j)) on edges, diagonal absorbs."""
-    w = np.zeros((g.n, g.n))
-    deg = g.degrees()
-    for i, j in g.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
-    for i in range(g.n):
-        w[i, i] = 1.0 - w[i].sum()
+    pairs, deg = _edge_pairs(n, edges)
+    i, j = pairs.T
+    w = np.zeros((n, n))
+    w[i, j] = w[j, i] = 1 / (1 + np.maximum(deg[i], deg[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return validate_mixing(w)
 
 

@@ -7,20 +7,22 @@ INFORMATIVE = [[0.8, 0.2], [0.2, 0.8]]
 UNINFORMATIVE_2 = [[0.5, 0.5], [0.5, 0.5]]
 
 
+# the graph constructors return (n, edges), the arguments of `network.gossip_process`
+# and `network.metropolis_matrix`
 def cycle_graph(n):
-    return network.Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+    return n, [(i, (i + 1) % n) for i in range(n)]
 
 
 def path_graph(n):
-    return network.Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+    return n, [(i, i + 1) for i in range(n - 1)]
 
 
 def complete_graph(n):
-    return network.Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+    return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def star_graph(n):
-    return network.Graph(n, frozenset((0, j) for j in range(1, n)))
+    return n, [(0, j) for j in range(1, n)]
 
 
 def pair_average_matrix(n, i, j):
@@ -51,12 +53,12 @@ def reference_model():
 
 @pytest.fixture
 def reference_process():
-    return network.gossip_process(cycle_graph(4))
+    return network.gossip_process(*cycle_graph(4))
 
 
 @pytest.fixture
 def path3_matrix():
-    return network.metropolis_matrix(path_graph(3))
+    return network.metropolis_matrix(*path_graph(3))
 
 
 def random_mixing_matrix(rng, n):
@@ -66,7 +68,7 @@ def random_mixing_matrix(rng, n):
         for j in range(i + 1, n):
             if rng.random() < 0.4:
                 edges.add((i, j))
-    return network.metropolis_matrix(network.Graph(n, frozenset(edges)))
+    return network.metropolis_matrix(n, edges)
 
 
 def exp_gap_sums(model, process, horizon, base_seed, trials):

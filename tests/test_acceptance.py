@@ -37,7 +37,7 @@ def ref_model():
 
 @pytest.fixture(scope="module")
 def ref_process():
-    return network.gossip_process(cycle_graph(4))
+    return network.gossip_process(*cycle_graph(4))
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ def six_agent_trajectories():
         [[0.8, 0.2], [0.8, 0.2], [0.2, 0.8]],
     ] + [UNINF3] * 4
     model = signals.SignalModel(tables)
-    process = network.gossip_process(cycle_graph(6))
+    process = network.gossip_process(*cycle_graph(6))
     start = time.monotonic()
     batch = analysis.simulate_trials(model, process, 1.0, 1000, BASE_SEED, range(N_SEEDS))
     return model, process, batch, time.monotonic() - start
@@ -91,7 +91,7 @@ def test_criterion_2_oracle_equivalence():
             process = network.fixed_process(random_mixing_matrix(rng, n))
         elif kind == 1:
             graph = cycle_graph(n) if n > 2 else path_graph(2)
-            process = network.gossip_process(graph)
+            process = network.gossip_process(*graph)
         else:
             mats = [random_mixing_matrix(rng, n) for _ in range(3)]
             probs = rng.uniform(0.1, 1.0, 3)
@@ -144,7 +144,7 @@ def test_criterion_4_theorem1_verification():
     ]
     model = signals.SignalModel(tables)
     process = network.fixed_process(
-        network.metropolis_matrix(cycle_graph(8))
+        network.metropolis_matrix(*cycle_graph(8))
     )
     start = time.monotonic()
     sc = analysis.Scenario(
@@ -180,12 +180,12 @@ def test_criterion_5_asymptotic_rate(ref_model, ref_long_trajectories):
 
 
 def test_criterion_6_spectral_fixtures():
-    path_w = network.metropolis_matrix(path_graph(3))
+    path_w = network.metropolis_matrix(*path_graph(3))
     s_path = network.sigma2(path_w)
     assert s_path == pytest.approx(2 / 3, abs=1e-9)
     s_proj = network.sigma2(np.full((5, 5), 0.2))
     assert s_proj == pytest.approx(0.0, abs=1e-10)
-    gossip = network.gossip_process(cycle_graph(3))
+    gossip = network.gossip_process(*cycle_graph(3))
     s_gossip = network.sigma2(network.expected_matrix(gossip))
     assert s_gossip == pytest.approx(0.5, abs=1e-9)
     _passline(6, f"spectral fixtures: {s_path:.12f}, {s_proj:.2e}, {s_gossip:.12f}")
@@ -198,7 +198,7 @@ def test_criterion_7_mixing_deviation_bound():
         if n >= 3:
             graphs += [path_graph(n), cycle_graph(n)]
         for g in graphs:
-            w = network.metropolis_matrix(g)
+            w = network.metropolis_matrix(*g)
             limit = 4.0 * math.log(n) / (1.0 - network.sigma2(w))
             # cumulative deviation for every agent and every t = 1..1000
             worst = network.mixing_deviation_sum(w, range(1, 1001)).max()

@@ -291,8 +291,8 @@ class TestBatchedEngine:
         # mid-block, on the STEP_BLOCK = 64 boundary, just past it, and later
         assert analysis.STEP_BLOCK == 64
         g = cycle_graph(4)
-        process = (network.gossip_process(g) if kind == "gossip"
-                   else network.fixed_process(network.metropolis_matrix(g)))
+        process = (network.gossip_process(*g) if kind == "gossip"
+                   else network.fixed_process(network.metropolis_matrix(*g)))
         checkpoints = (10, 64, 65, 150)
 
         def scenario(ts):
@@ -344,7 +344,7 @@ def _random_case(n, m, kind, seed):
     if kind == "gossip":
         edges = {(i, i + 1) for i in range(n - 1)}
         edges |= {(i, j) for i in range(n) for j in range(i + 2, n) if rng.random() < 0.4}
-        return model, network.gossip_process(network.Graph(n, frozenset(edges)))
+        return model, network.gossip_process(n, edges)
     probs = rng.uniform(0.1, 1.0, 3)
     probs /= probs.sum()
     probs[-1] = 1.0 - probs[:-1].sum()
@@ -355,7 +355,7 @@ def _random_case(n, m, kind, seed):
 def _wide_ring(n=200, m=3, seed=11):
     """A gossip ring of n agents with a random model of mixed alphabet sizes."""
     model = _random_model(np.random.default_rng(seed), n, m)
-    return model, network.gossip_process(cycle_graph(n))
+    return model, network.gossip_process(*cycle_graph(n))
 
 
 def _count_advance_calls(monkeypatch) -> list:

@@ -79,16 +79,13 @@ class TestConfigLoading:
             load_config(path)
 
     def test_disconnected_network_rejected(self, tmp_path):
-        path = write_config(tmp_path, {
-            "network.kind": "fixed",
-            "network.matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        })
+        path = write_config(tmp_path, {"network": {"kind": "fixed", "matrix": np.eye(4).tolist()}})
         with pytest.raises(ConfigInvalid, match="A3"):
             load_config(path)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         path = write_config(tmp_path, {"network.graph.n": 5})
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid, match="graph n must equal the number of agents, 4"):
             load_config(path)
 
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
@@ -424,12 +421,10 @@ class TestSpectralCommand:
         assert cli.main(["spectral", str(path), "--output-dir", str(blocker / "out")]) == 2
         assert "output directory" in capsys.readouterr().err
 
-    def test_identity_disconnected(self, tmp_path):
-        path = write_config(tmp_path, {
-            "network.kind": "fixed",
-            "network.matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        })
+    def test_identity_disconnected(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"network": {"kind": "fixed", "matrix": np.eye(4).tolist()}})
         assert cli.main(["spectral", str(path)]) == 2  # rejected at config validation
+        assert "A3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [
@@ -648,6 +643,17 @@ def test_artifacts_independent_of_core_count(tmp_path):
     ({"network.graph.m": 3}, [], "graph has unknown key 'm'"),
     ({"network": {"kind": "finite_support", "support": [{"matrix": RING4, "p": 1.0}]}},
      [], "support entry has unknown key 'p'"),
+    # each network kind takes one key besides `kind`; another kind's key is refused
+    ({"network.matrix": [[1, 0], [0, 1]]}, [], "gossip network has unknown key 'matrix'"),
+    ({"network.kind": "metropolis", "network.support": [{"matrix": RING4, "prob": 1.0}]},
+     [], "metropolis network has unknown key 'support'"),
+    ({"network": {"kind": "fixed", "matrix": RING4, "graph": SMALL_CONFIG["network"]["graph"]}},
+     [], "fixed network has unknown key 'graph'"),
+    ({"network": {"graph": SMALL_CONFIG["network"]["graph"]}}, [], "network kind"),
+    ({"network.kind": ["gossip"]}, [], "network kind"),
+    ({"network.kind": "ring"}, [], "network kind must be one of"),
+    # the graph's size is checked against the model before anything is sized by it
+    ({"network.graph.n": 10**15}, [], "graph n"),
 ])
 def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, overrides, flags, field):
     # an exception escaping main would fail the test: that is the traceback

@@ -209,8 +209,8 @@ def _random_process(rng, n):
     if kind == 0:
         return network.fixed_process(random_mixing_matrix(rng, n))
     if kind == 1:
-        return network.gossip_process(cycle_graph(n)) if n > 2 else \
-            network.gossip_process(path_graph(2))
+        return network.gossip_process(*cycle_graph(n)) if n > 2 else \
+            network.gossip_process(*path_graph(2))
     mats = [random_mixing_matrix(rng, n) for _ in range(3)]
     probs = rng.uniform(0.1, 1.0, 3)
     probs /= probs.sum()

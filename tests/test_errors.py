@@ -29,9 +29,9 @@ CHECKS = {
                           "mixing matrix is not symmetric"),
     "mixing-row-sum": (lambda: network.validate_mixing([[0.5, 0.4], [0.4, 0.5]]),
                        "mixing matrix rows do not sum to 1"),
-    "graph-self-loop": (lambda: network.Graph(3, frozenset({(1, 1)})),
+    "graph-self-loop": (lambda: network.gossip_process(3, [(1, 1)]),
                         "self-loop on vertex 1"),
-    "graph-edge-range": (lambda: network.Graph(3, frozenset({(0, 3)})),
+    "graph-edge-range": (lambda: network.gossip_process(3, [(0, 3)]),
                          r"edge \(0,3\) outside vertex range \[0,3\)"),
     "support-empty": (lambda: network.finite_support_process([]),
                       "finite-support process needs at least one matrix"),

@@ -39,36 +39,35 @@ class TestMetropolis:
         np.testing.assert_allclose(path3_matrix, expected, atol=1e-15)
 
     def test_complete2(self):
-        w = network.metropolis_matrix(complete_graph(2))
+        w = network.metropolis_matrix(*complete_graph(2))
         np.testing.assert_allclose(w, 0.5, atol=1e-15)
 
     def test_edgeless_is_identity(self):
-        w = network.metropolis_matrix(network.Graph(3, frozenset()))
+        w = network.metropolis_matrix(3, [])
         np.testing.assert_array_equal(w, np.eye(3))
         assert not network.check_expected_connectivity(w)
 
     def test_positive_diagonal(self):
         for g in (cycle_graph(5), star_graph(6), path_graph(4)):
-            assert np.all(np.diag(network.metropolis_matrix(g)) > 0)
+            assert np.all(np.diag(network.metropolis_matrix(*g)) > 0)
 
 
 class TestGossip:
     def test_two_agents_deterministic(self):
-        for w in draws(network.gossip_process(path_graph(2)), 10, seed=3):
+        for w in draws(network.gossip_process(*path_graph(2)), 10, seed=3):
             np.testing.assert_allclose(w, 0.5)
 
     def test_draws_are_valid_matrices(self):
-        for w in draws(network.gossip_process(cycle_graph(5)), 200, seed=4):
+        for w in draws(network.gossip_process(*cycle_graph(5)), 200, seed=4):
             network.validate_mixing(w)
 
     def test_isolated_agent_rejected(self):
-        g = network.Graph(3, frozenset({(0, 1)}))
         with pytest.raises(DistDetectError, match="vertex 2 has no neighbors"):
-            network.gossip_process(g)
+            network.gossip_process(3, [(0, 1)])
 
     def test_triangle_pair_frequencies(self):
         # on a 3-cycle each unordered pair activates with probability 1/3
-        p = network.gossip_process(cycle_graph(3))
+        p = network.gossip_process(*cycle_graph(3))
         n_draws = 100_000
         w = draws(p, n_draws, seed=5)
         assert np.all(np.count_nonzero(np.triu(w, 1), axis=(1, 2)) == 1)  # one pair each
@@ -77,13 +76,17 @@ class TestGossip:
             assert np.mean(w[:, i, j] > 0) == pytest.approx(1 / 3, abs=3 * sigma)
 
 
-def _gossip_closed_form(g):
+def _degrees(n, edges):
+    return [sum(1 for e in edges if i in e) for i in range(n)]
+
+
+def _gossip_closed_form(n, edges):
     """E[W] of gossip written out edge by edge: a uniform agent averages with a
     uniform neighbour, so edge (i, j) fires with probability (1/n)(1/d_i + 1/d_j)."""
-    w = np.eye(g.n)
-    deg = [sum(1 for e in g.edges if i in e) for i in range(g.n)]
-    for i, j in g.edges:
-        q = (1.0 / g.n) * (1.0 / deg[i]) + (1.0 / g.n) * (1.0 / deg[j])
+    w = np.eye(n)
+    deg = _degrees(n, edges)
+    for i, j in edges:
+        q = (1.0 / n) * (1.0 / deg[i]) + (1.0 / n) * (1.0 / deg[j])
         w[i, i] -= q / 2
         w[j, j] -= q / 2
         w[i, j] += q / 2
@@ -91,31 +94,58 @@ def _gossip_closed_form(g):
     return w
 
 
-KITE = network.Graph(5, frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)}))
+def _metropolis_closed_form(n, edges):
+    """Metropolis weights written out edge by edge, then each diagonal entry
+    takes what its row's off-diagonal weights leave of 1."""
+    w = np.zeros((n, n))
+    deg = _degrees(n, edges)
+    for i, j in edges:
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    for i in range(n):
+        w[i, i] = 1.0 - w[i].sum()
+    return w
+
+
+KITE = 5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]
+CLOSED_FORM_GRAPHS = [path_graph(2), cycle_graph(3), star_graph(4), star_graph(9), KITE,
+                      complete_graph(6), cycle_graph(256)]
 
 
 class TestAtoms:
     def test_gossip_atom_probabilities_on_irregular_graph(self):
-        for g in (star_graph(6), KITE):
-            p = network.gossip_process(g)
-            deg = [sum(1 for e in g.edges if v in e) for v in range(g.n)]
-            assert p.atoms.tolist() == sorted(list(e) for e in g.edges)
+        for n, edges in (star_graph(6), KITE):
+            p = network.gossip_process(n, edges)
+            deg = _degrees(n, edges)
+            assert p.atoms.tolist() == sorted(list(e) for e in edges)
             for (i, j), q in zip(p.atoms, p.probs):
-                assert q == pytest.approx((1 / g.n) * (1 / deg[i] + 1 / deg[j]), abs=1e-15)
+                assert q == pytest.approx((1 / n) * (1 / deg[i] + 1 / deg[j]), abs=1e-15)
             assert p.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("g", [
-        path_graph(2), cycle_graph(3), star_graph(4),
-        star_graph(9), KITE, complete_graph(6), cycle_graph(256),
-    ], ids=lambda g: f"n{g.n}e{len(g.edges)}")
+    @pytest.mark.parametrize("g", CLOSED_FORM_GRAPHS, ids=lambda g: f"n{g[0]}e{len(g[1])}")
     def test_gossip_expected_matrix_matches_closed_form(self, g):
-        w = network.expected_matrix(network.gossip_process(g))
-        assert np.abs(w - _gossip_closed_form(g)).max() <= 1e-15
+        w = network.expected_matrix(network.gossip_process(*g))
+        assert np.abs(w - _gossip_closed_form(*g)).max() <= 1e-15
+
+    @pytest.mark.parametrize("g", CLOSED_FORM_GRAPHS + [cycle_graph(8)],
+                             ids=lambda g: f"n{g[0]}e{len(g[1])}")
+    def test_metropolis_matrix_equals_closed_form(self, g):
+        assert np.array_equal(network.metropolis_matrix(*g), _metropolis_closed_form(*g))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_metropolis_matrix_equals_closed_form_on_random_graphs(self, data):
+        n = data.draw(st.integers(2, 40))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1])
+        edges = data.draw(st.lists(pairs, max_size=3 * n))  # repeats and both orientations
+        w = network.metropolis_matrix(n, edges)
+        distinct = {tuple(sorted(e)) for e in edges}
+        assert np.array_equal(w, _metropolis_closed_form(n, distinct))
 
     def test_one_atom_draw_spends_no_uniform(self, path3_matrix):
         for p in (network.fixed_process(path3_matrix),
                   network.finite_support_process([(path3_matrix, 1.0)]),
-                  network.gossip_process(path_graph(2))):
+                  network.gossip_process(*path_graph(2))):
             rng = np.random.default_rng(1)
             before = rng.bit_generator.state
             detection.draw_mixing(p, rng)
@@ -123,7 +153,7 @@ class TestAtoms:
             assert rng.bit_generator.state == before
 
     def test_many_atoms_draw_spends_one_uniform(self, path3_matrix):
-        for p in (network.gossip_process(cycle_graph(4)),
+        for p in (network.gossip_process(*cycle_graph(4)),
                   network.finite_support_process([(path3_matrix, 0.5), (np.eye(3), 0.5)])):
             rng, twin = np.random.default_rng(2), np.random.default_rng(2)
             detection.draw_mixing(p, rng)
@@ -132,7 +162,7 @@ class TestAtoms:
             assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_advance_picks_atom_by_inverse_cdf(self):
-        p = network.gossip_process(KITE)  # atoms (0,1) (0,2) (0,3) (0,4) (1,2)
+        p = network.gossip_process(*KITE)  # atoms (0,1) (0,2) (0,3) (0,4) (1,2)
         cdf = np.cumsum(p.probs)
         for u, pair in ((0.0, (0, 1)), (cdf[0], (0, 2)), (cdf[3] - 1e-12, (0, 4)),
                         (np.nextafter(1.0, 0.0), (1, 2))):
@@ -143,13 +173,13 @@ class TestAtoms:
             assert np.array_equal(detection.draw_mixing(p, given_uniforms([u])), want)
 
     @pytest.mark.parametrize("process", [
-        network.gossip_process(KITE),
-        network.gossip_process(path_graph(2)),  # one edge: no uniform spent
-        network.fixed_process(network.metropolis_matrix(KITE)),
+        network.gossip_process(*KITE),
+        network.gossip_process(*path_graph(2)),  # one edge: no uniform spent
+        network.fixed_process(network.metropolis_matrix(*KITE)),
         network.finite_support_process([
-            (network.metropolis_matrix(KITE), 0.2),
+            (network.metropolis_matrix(*KITE), 0.2),
             (pair_average_matrix(5, 1, 3), 0.3),
-            (network.metropolis_matrix(cycle_graph(5)), 0.5),
+            (network.metropolis_matrix(*cycle_graph(5)), 0.5),
         ]),
     ], ids=["gossip", "single-edge", "fixed", "finite-support"])
     def test_advance_matches_per_step_replay(self, process):
@@ -178,16 +208,16 @@ class TestExpectedMatrix:
         np.testing.assert_array_equal(network.expected_matrix(p), path3_matrix)
 
     def test_gossip_triangle_closed_form(self):
-        p = network.gossip_process(cycle_graph(3))
+        p = network.gossip_process(*cycle_graph(3))
         expected = np.full((3, 3), 1 / 6) + np.eye(3) * 0.5
         np.testing.assert_allclose(network.expected_matrix(p), expected, atol=1e-15)
 
     def test_gossip_two_agents(self):
-        p = network.gossip_process(path_graph(2))
+        p = network.gossip_process(*path_graph(2))
         np.testing.assert_allclose(network.expected_matrix(p), 0.5, atol=1e-15)
 
     def test_gossip_matches_empirical_mean(self):
-        p = network.gossip_process(star_graph(4))  # irregular degrees
+        p = network.gossip_process(*star_graph(4))  # irregular degrees
         n_draws = 100_000
         emp = draws(p, n_draws, seed=6).mean(axis=0)
         # entrywise 3-sigma: each entry is an average of bounded (0..1) terms
@@ -234,7 +264,7 @@ class TestSigma2:
     def test_gossip_ring_closed_form(self, n):
         # E[W] = I - L/(2n) on the n-ring, so sigma2 = 1 - (1 - cos(2 pi/n))/n;
         # the gap is written as 2 sin^2(pi/n)/n to avoid cancellation
-        w = network.expected_matrix(network.gossip_process(cycle_graph(n)))
+        w = network.expected_matrix(network.gossip_process(*cycle_graph(n)))
         gap = 2.0 * math.sin(math.pi / n) ** 2 / n
         assert 1.0 - network.sigma2(w) == pytest.approx(gap, rel=1e-9)
 
@@ -245,12 +275,12 @@ class TestConnectivity:
 
     def test_gossip_connected_base(self):
         assert network.check_expected_connectivity(
-            network.expected_matrix(network.gossip_process(cycle_graph(6)))
+            network.expected_matrix(network.gossip_process(*cycle_graph(6)))
         )
 
     def test_connected_implies_subunit_sigma2(self):
         for g in (cycle_graph(5), star_graph(7)):
-            p = network.gossip_process(g)
+            p = network.gossip_process(*g)
             assert network.check_expected_connectivity(network.expected_matrix(p))
             assert network.sigma2(network.expected_matrix(p)) < 1
 
@@ -274,11 +304,10 @@ def deviation_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     edges = {(i, i + 1) for i in range(n - 1)}  # a spanning path keeps it connected
     edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.15}
-    g = network.Graph(n, frozenset(edges))
     if draw(st.booleans()):
-        w = network.metropolis_matrix(g)
+        w = network.metropolis_matrix(n, edges)
     else:
-        w = network.expected_matrix(network.gossip_process(g))
+        w = network.expected_matrix(network.gossip_process(n, edges))
     ts = draw(st.lists(st.integers(1, 3000), min_size=1, max_size=3))
     ts = draw(st.permutations(ts + [draw(st.sampled_from(ts))]))
     agents = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
@@ -308,12 +337,12 @@ class TestMixingDeviation:
     def test_vertex_transitive_agents_agree_past_convergence(self):
         # every agent of a cycle sees the same deviations, so all sums agree
         # to the last ulp, however far past convergence t is
-        w = network.metropolis_matrix(cycle_graph(8))
+        w = network.metropolis_matrix(*cycle_graph(8))
         got = network.mixing_deviation_sum(w, [10**3, 10**5])
         assert np.ptp(got, axis=1).max() <= np.spacing(got.max())
 
     def test_largest_t_returns_converged_sums(self):
-        w = network.metropolis_matrix(cycle_graph(8))
+        w = network.metropolis_matrix(*cycle_graph(8))
         got = network.mixing_deviation_sum(w, [network.T_MAX, 10**4])
         assert np.array_equal(got[0], got[1])
 
@@ -349,7 +378,7 @@ class TestMixingDeviation:
 
 def test_product_of_draws_stays_doubly_stochastic():
     # 1000 steps of one trial from phi = I: the last potentials are W(1000) ... W(1)
-    p = network.gossip_process(cycle_graph(6))
+    p = network.gossip_process(*cycle_graph(6))
     u = np.random.default_rng(10).random((1000, 1, p.uniforms))
     prod = p.advance(np.eye(6)[None], u, np.zeros((1000, 1, 6, 6)))[-1, 0]
     assert np.abs(prod.sum(axis=0) - 1).max() <= 1e-9
@@ -358,8 +387,8 @@ def test_product_of_draws_stays_doubly_stochastic():
 
 def test_ones_is_stationary_for_expected_matrices():
     for p in (
-        network.gossip_process(star_graph(5)),
-        network.fixed_process(network.metropolis_matrix(cycle_graph(4))),
+        network.gossip_process(*star_graph(5)),
+        network.fixed_process(network.metropolis_matrix(*cycle_graph(4))),
     ):
         w = network.expected_matrix(p)
         np.testing.assert_allclose(np.ones(w.shape[0]) @ w, 1.0, atol=1e-12)
