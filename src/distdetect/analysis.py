@@ -28,6 +28,7 @@ def trial_rng(base_seed: int, trial: int):
 
 STEP_BLOCK = 64            # steps drawn from each trial's generator at a time, at most
 BLOCK_ELEMENTS = 1 << 15   # bound on trials x steps x n x m held per block
+ENGINE_WORK_CAP = 1 << 50  # bound on trials x steps x n x m of one run: years of work
 # trials every block has room for, while n x m allows. More trials per block
 # mean fewer passes of the per-step network loop but shorter blocks, so more
 # generator calls per trial; on 100- and 256-agent gossip rings (m = 3) at 8,
@@ -65,9 +66,13 @@ def potential_blocks(model, process, horizon: int, base_seed: int, trials,
     process's k = `uniforms` first, then one per agent, turned into its
     signal by inverse CDF, as `detection.draw_mixing` then
     `signals.sample_step` would. Group and block sizes change neither the
-    stream nor the arithmetic of any trial.
+    stream nor the arithmetic of any trial. Raises DistDetectError if trials x
+    horizon x n x m is above ENGINE_WORK_CAP.
     """
     n, m = model.n, model.m
+    if len(trials) * horizon * n * m > ENGINE_WORK_CAP:
+        raise DistDetectError(f"{len(trials)} trials x horizon {horizon} x n {n} x m {m} is "
+                              f"above ENGINE_WORK_CAP = 2^50 (prop1's horizon: last checkpoint)")
     k = process.uniforms
     cdf, logtab = signals.padded_tables(model)
     width = cdf.shape[1]

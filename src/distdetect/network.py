@@ -6,6 +6,7 @@ has one pair-average atom per edge, and a finite-support process lists its
 matrices. Spectral quantities are computed on the expected matrix.
 """
 
+import math
 import operator
 
 import numpy as np
@@ -15,6 +16,7 @@ from .errors import DistDetectError
 MATRIX_TOL = 1e-12
 POSITIVE_ENTRY_TOL = 1e-12  # threshold for "edge present" in connectivity checks
 T_MAX = 2**63 - 1  # the largest step t, which int64 step counts can hold
+SPECTRAL_WORK_CAP = 2**44  # n x n products x n^3 per mixing_deviation_sum call: ~15 min at n = 256
 
 
 def validate_mixing(entries) -> np.ndarray:
@@ -165,17 +167,19 @@ def expected_matrix(p: NetworkProcess) -> np.ndarray:
     return validate_mixing(w)
 
 
+def _centred_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of C = W - J/n, symmetrised (validation allows asymmetry up to MATRIX_TOL)."""
+    c = w - 1.0 / w.shape[0]
+    return np.linalg.eigvalsh(0.5 * (c + c.T))
+
+
 def sigma2(w) -> float:
     """Second-largest singular value: the spectral norm of W - (1/n) * ones * ones^T.
 
     For symmetric doubly stochastic W this is the largest absolute eigenvalue
-    of the centred matrix, taken from a symmetric eigensolver (symmetrised
-    first, since validation allows asymmetry up to MATRIX_TOL).
+    of the centred matrix, taken from a symmetric eigensolver.
     """
-    w = validate_mixing(w)
-    c = w - 1.0 / w.shape[0]
-    eig = np.linalg.eigvalsh(0.5 * (c + c.T))
-    return min(float(np.abs(eig).max()), 1.0)
+    return min(float(np.abs(_centred_eigenvalues(validate_mixing(w))).max()), 1.0)
 
 
 def check_expected_connectivity(w_bar) -> bool:
@@ -194,13 +198,14 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
     Returns a (len(t_values), n) array whose rows follow t_values, which may
     come in any order and repeat. One pass over the powers of C = W - J/n
     (C^s = W^s - J/n for s >= 1, so no term cancels against 1/n) keeps a
-    running per-agent sum, read off at each requested t. Row i of C^s has l1
-    norm at most sqrt(n) rho^s for rho = ||C^s||_F^(1/s) >= ||C||_2; the pass
-    stops once the bound on all later terms is below half an ulp of every
-    sum. When ||C||_2 = 1 (a periodic network) that never happens, but C is
-    symmetric, so its eigenvalues of modulus 1 are +-1 and its powers settle
-    into a cycle of period 2: once C^s == C^(s-2) exactly, every later power
-    repeats the last two and the sums are finished in closed form.
+    running per-agent sum, read off at each requested t. C is symmetric, so
+    C^s = U^s + R^s: U, its part on the eigenvalues +-1 (within MATRIX_TOL, the
+    tolerance of `validate_mixing`), repeats with period 2, and row i of R^s
+    has l1 norm at most sqrt(n) rho^s, rho the spectral radius of R. From s = 2
+    the pass stops once sqrt(n) rho^(s-1) / (1 - rho) is below half an ulp of
+    every sum. The powers s+1, s+2, ... then add what C^(s-1), C^s, C^(s-1),
+    ... add, or nothing if U = 0, so any larger t is finished in closed form.
+    Raises DistDetectError if the pass may need more than SPECTRAL_WORK_CAP / n^3 products.
     """
     t_values = [operator.index(t) for t in t_values]
     for t in t_values:
@@ -210,23 +215,25 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
     n = w.shape[0]
     wanted, rows = np.unique(t_values, return_inverse=True)
     snapshots = np.empty((len(wanted), n))
+    # |eigenvalues| of C; t <= 2 reads at most C^1 and needs none of them
+    eig = np.abs(_centred_eigenvalues(w)) if max(t_values, default=0) >= 3 else np.zeros(1)
+    unit, rho = (eig > 1 - MATRIX_TOL).any(), eig[eig <= 1 - MATRIX_TOL].max(initial=0.0)
+    # every sum is >= 2(n-1)/n >= 1, whose half ulp is >= 2^-53: the rule holds by this s
+    last = 2 + int(math.log(2**-53 * (1 - rho) / n**0.5) / math.log(rho)) if rho else 2
+    if (products := min(max(t_values, default=1) - 1, last)) * n**3 > SPECTRAL_WORK_CAP:
+        raise DistDetectError(f"t = {max(t_values)} needs up to {products} products of {n} x {n} "
+                              f"matrices, more than SPECTRAL_WORK_CAP = 2^44 / n^3 allows")
     c = w - 1.0 / n
-    before, power, s = None, np.eye(n), 0  # C^(s-1) and C^s
+    power, s, increment, stopped = np.eye(n), 0, None, False  # C^s and its |.| row sums
     total = np.abs(power - 1.0 / n).sum(axis=1)  # holds the powers 0 .. s
-    increments = ()  # |C^(s-1)| and |C^s| row sums, once the powers repeat
     for k, t in enumerate(wanted):
-        while s < t - 1 and not increments:
-            older, before, power = before, power, power @ c
-            s += 1
+        while s < t - 1 and not stopped:
+            power, s, before = power @ c, s + 1, increment
             increment = np.abs(power).sum(axis=1)
             total += increment
-            rho = np.linalg.norm(power) ** (1.0 / s)
-            if rho < 1 and n**0.5 * rho ** (s + 1) / (1 - rho) < np.spacing(total.min()) / 2:
-                s = T_MAX  # converged: every larger t reads the same sums
-            elif s >= 2 and np.array_equal(power, older):
-                increments = np.abs(before).sum(axis=1), increment
+            stopped = s >= 2 and n**0.5 * rho ** (s - 1) / (1 - rho) < np.spacing(total.min()) / 2
         snapshots[k] = total
-        if increments:  # the powers s+1, s+2, ... alternate C^(s-1), C^s, ...
+        if stopped and unit:  # the powers s+1, s+2, ... alternate C^(s-1), C^s, ...
             later = t - 1 - s
-            snapshots[k] += (later + 1) // 2 * increments[0] + later // 2 * increments[1]
+            snapshots[k] += (later + 1) // 2 * before + later // 2 * increment
     return snapshots[rows]

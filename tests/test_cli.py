@@ -470,21 +470,22 @@ def test_spectral_validations_independent_of_n(tmp_path, monkeypatch):
     assert counts[0] == counts[1]
 
 
-def run_python(args, **env):
+def run_python(args, timeout=120, **env):
     """Run a fresh interpreter with the package on its path and capture its output.
 
-    Keyword arguments set environment variables; a value of None unsets one.
+    It must end within `timeout` seconds. Other keyword arguments set
+    environment variables; a value of None unsets one.
     """
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path, **env}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env={k: v for k, v in env.items() if v is not None})
+                          timeout=timeout, env={k: v for k, v in env.items() if v is not None})
 
 
-def run_cli_process(args, **env):
+def run_cli_process(args, timeout=120, **env):
     """Run the CLI in a fresh interpreter, as a user would, and capture its output."""
-    return run_python(["-m", "distdetect.cli", *args], **env)
+    return run_python(["-m", "distdetect.cli", *args], timeout=timeout, **env)
 
 
 def test_package_import_leaves_numpy_unloaded():
@@ -697,6 +698,41 @@ def test_oversized_trial_count_exits_2(tmp_path, capsys, command, trials):
     assert "trials" in err
     assert "Traceback" not in err
     assert not (tmp_path / "new").exists()
+
+
+def cycle32_config(tmp_path):
+    """The zero-diagonal 32-cycle with weight 1/2 per edge: C has eigenvalue -1."""
+    n = 32
+    matrix = [[0.5 if abs(i - j) in (1, n - 1) else 0.0 for j in range(n)] for i in range(n)]
+    return write_config(tmp_path, {
+        "signal_model.agents": [[[0.8, 0.2], [0.2, 0.8]]] + [[[0.5, 0.5]] * 2] * (n - 1),
+        "network": {"kind": "fixed", "matrix": matrix},
+    }, name="cycle32.yaml")
+
+
+def pair_config(tmp_path):
+    """One gossip edge between two agents, run to t = 10^18."""
+    return write_config(tmp_path, {
+        "signal_model.agents": [[[0.8, 0.2], [0.2, 0.8]], [[0.5, 0.5]] * 2],
+        "network.graph": {"n": 2, "edges": [[0, 1]]},
+        "horizon": 10**18, "checkpoints": [10**18],
+    }, name="pair.yaml")
+
+
+@pytest.mark.parametrize("make_config, command, fields", [
+    (cycle32_config, ["spectral", "--t-values", str(10**18)], None),
+    (lambda p: ring_config(p, 256), ["spectral", "--t-values", str(10**12)], [f"t = {10**12}"]),
+    (pair_config, ["verify", "--which", "theorem1", "--trials", "1"], ["horizon", "trials"]),
+    (pair_config, ["verify", "--which", "prop1", "--trials", "1"], ["horizon", "trials"]),
+], ids=["spectral-cycle32-1e18", "spectral-ring256-1e12", "theorem1-1e18", "prop1-1e18"])
+def test_unbounded_work_returns_or_exits_2_quickly(tmp_path, make_config, command, fields):
+    # a periodic network, a tiny spectral gap and a huge horizon are each
+    # finished in closed form or refused up front, not run for years
+    res = run_cli_process([command[0], str(make_config(tmp_path)), *command[1:],
+                           "--output-dir", str(tmp_path / "out")], timeout=2)
+    assert res.returncode == (0 if fields is None else 2), res.stderr
+    assert all(field in res.stderr for field in fields or ())
+    assert "Traceback" not in res.stderr
 
 
 def _node_paths(tree, path=()):

@@ -297,6 +297,18 @@ def row_deviation_oracle(w, i, t):
     return total
 
 
+def plain_deviation_sum(w, t):
+    """The per-agent sums of |W^s - J/n| over s < t, one power of C = W - J/n per step."""
+    n = w.shape[0]
+    c = w - 1.0 / n
+    power = np.eye(n)
+    total = np.abs(power - 1.0 / n).sum(axis=1)
+    for _ in range(t - 1):
+        power = power @ c
+        total += np.abs(power).sum(axis=1)
+    return total
+
+
 @st.composite
 def deviation_cases(draw):
     """E[W] of a random connected graph, a t list (unsorted, with a repeat), two agents."""
@@ -352,7 +364,8 @@ class TestMixingDeviation:
         assert network.mixing_deviation_sum(swap, [1000]).tolist() == [[1000.0, 1000.0]]
 
     def test_periodic_network_sums_in_closed_form(self):
-        # once C^s == C^(s-2) the powers alternate, so the largest t returns
+        # once the part of C^s off the eigenvalues +-1 is below the sums' half
+        # ulp, the powers alternate, so the largest t returns
         # at once: the swap's sums are t, and the 4-cycle with weight 1/2 on
         # each edge (eigenvalues 1, 0, 0, -1) adds 1.5 for power 0, then 1
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -364,6 +377,23 @@ class TestMixingDeviation:
         half = 0.5 * np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
         got = network.mixing_deviation_sum(half, ts)
         assert got.tolist() == [[1.5 + (t - 1)] * 4 for t in ts]
+
+    def test_periodic_cycle_matches_plain_summation(self):
+        # the zero-diagonal 32-cycle has eigenvalue -1 and powers that never
+        # repeat exactly; its sums are finished in closed form
+        n = 32
+        w = 0.5 * (np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1))
+        assert network.mixing_deviation_sum(w, [5000])[0] == pytest.approx(
+            plain_deviation_sum(w, 5000), rel=1e-12)
+
+    @pytest.mark.parametrize("w", [
+        network.metropolis_matrix(*cycle_graph(8)),
+        network.expected_matrix(network.gossip_process(*cycle_graph(4))),
+    ], ids=["metropolis-8-cycle", "gossip-4-cycle"])
+    def test_shipped_networks_match_power_loop_exactly(self, w):
+        # the loop stops only where every later term is below half an ulp
+        assert np.array_equal(network.mixing_deviation_sum(w, [20_000])[0],
+                              plain_deviation_sum(w, 20_000))
 
     @settings(max_examples=25, deadline=None)
     @given(deviation_cases())
