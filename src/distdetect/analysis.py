@@ -254,8 +254,9 @@ def _check_bound_inputs(*, B, I, m, n, delta, sigma2_w):
 class Scenario:
     """A model, a network over the same agents and the settings of the bounds.
 
-    Construction checks the network against the model: the sizes must match
-    and E[W], kept as `w_bar`, must be connected (A3).
+    Construction checks the network against the model (sizes, and A3 through
+    `sigma2` of E[W], kept as `w_bar`) and derives the other inputs of the
+    bounds once: `B`, the hardest false state `second_state`, its `rate`, `eta`.
     """
 
     def __init__(self, model: signals.SignalModel, process: network.NetworkProcess,
@@ -263,30 +264,18 @@ class Scenario:
         if process.n != model.n:
             raise DistDetectError(f"network has n={process.n} agents "
                                   f"but signal model has n={model.n}")
-        w_bar = network.expected_matrix(process)
-        if not network.check_expected_connectivity(w_bar):
-            raise DistDetectError("network is not connected in expectation (A3 violated)")
         self.model = model
         self.process = process
         self.horizon = horizon              # T of the cost bound and of `simulate`
-        self.learning_rate = learning_rate  # "unit" | "theorem1" | float
         self.delta = delta
         self.checkpoints = checkpoints      # the t of the anytime bound
-        self.w_bar = w_bar
-
-
-def bound_inputs(sc: Scenario):
-    """(B, hardest false state, its rate I, sigma2 of E[W], learning rate eta)."""
-    B = signals.log_bound_B(sc.model)
-    k2, rate = signals.second_state(sc.model)
-    s2 = network.sigma2(sc.w_bar)
-    if sc.learning_rate == "unit":
-        eta = 1.0
-    elif sc.learning_rate == "theorem1":
-        eta = theorem1_learning_rate(B, sc.model.n, s2)
-    else:
-        eta = float(sc.learning_rate)
-    return B, k2, rate, s2, eta
+        self.w_bar = network.expected_matrix(process)
+        self.sigma2 = network.sigma2(self.w_bar)
+        self.B = signals.log_bound_B(model)
+        self.second_state, self.rate = signals.second_state(model)
+        if learning_rate == "theorem1":
+            learning_rate = theorem1_learning_rate(self.B, model.n, self.sigma2)
+        self.eta = 1.0 if learning_rate == "unit" else float(learning_rate)
 
 
 def theorem1_statistics(sc: Scenario, eta, base_seed, trials) -> np.ndarray:
@@ -330,7 +319,7 @@ def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list
         raise ConfigInvalid("prop1 verification needs at least one checkpoint")
     if R < 1:
         raise DistDetectError("need at least one trial")
-    B, _, I, s2, eta = bound_inputs(sc)
+    B, I, s2, eta = sc.B, sc.rate, sc.sigma2, sc.eta
     m, n, delta = sc.model.m, sc.model.n, sc.delta
     if which == "theorem1":
         checkpoints, horizon = [None], sc.horizon

@@ -44,9 +44,9 @@ def _artifact(cfg, args, name, mode="w"):
     outdir = args.output_dir if args.output_dir is not None else cfg.output_dir
     try:
         os.makedirs(outdir, exist_ok=True)
+        return open(os.path.join(outdir, name), mode)
     except OSError as exc:
-        raise ConfigInvalid(f"cannot create output directory {outdir!r}: {exc}") from exc
-    return open(os.path.join(outdir, name), mode)
+        raise ConfigInvalid(f"cannot open {name} in output directory {outdir!r}: {exc}") from exc
 
 
 def _write_json(cfg, args, name, doc, indent):
@@ -56,8 +56,7 @@ def _write_json(cfg, args, name, doc, indent):
 
 def cmd_simulate(cfg, args) -> int:
     seed, trials = _resolve(cfg, args)
-    B, k2, rate, s2, eta = analysis.bound_inputs(cfg)
-    tv, kl, ctv, max_gap = analysis.simulate_trials(cfg.model, cfg.process, eta,
+    tv, kl, ctv, max_gap = analysis.simulate_trials(cfg.model, cfg.process, cfg.eta,
                                                     cfg.horizon, seed, range(trials))
     from . import trajectories  # the CSV's formatter, which no other command needs
     with _artifact(cfg, args, "trajectories.csv", "wb") as table:
@@ -70,12 +69,12 @@ def cmd_simulate(cfg, args) -> int:
         "n": cfg.model.n,
         "m": cfg.model.m,
         "true_state": cfg.model.true_index,
-        "log_bound_B": B,
-        "second_state": k2,
-        "pairwise_rate_I": rate,
-        "sigma2": s2,
-        "spectral_gap": 1.0 - s2,
-        "eta": eta,
+        "log_bound_B": cfg.B,
+        "second_state": cfg.second_state,
+        "pairwise_rate_I": cfg.rate,
+        "sigma2": cfg.sigma2,
+        "spectral_gap": 1.0 - cfg.sigma2,
+        "eta": cfg.eta,
         "horizon": cfg.horizon,
         "trials": trials,
         "seed": seed,
@@ -110,7 +109,7 @@ def cmd_verify(cfg, args) -> int:
 
 
 def cmd_spectral(cfg, args) -> int:
-    s2 = network.sigma2(cfg.w_bar)
+    s2 = cfg.sigma2
     t_values = args.t_values if args.t_values else list(cfg.checkpoints)
     deviation = network.mixing_deviation_sum(cfg.w_bar, t_values)
     doc = {

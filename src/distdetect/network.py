@@ -14,9 +14,11 @@ import numpy as np
 from .errors import DistDetectError
 
 MATRIX_TOL = 1e-12
-POSITIVE_ENTRY_TOL = 1e-12  # threshold for "edge present" in connectivity checks
 T_MAX = 2**63 - 1  # the largest step t, which int64 step counts can hold
-SPECTRAL_WORK_CAP = 2**44  # n x n products x n^3 per mixing_deviation_sum call: ~15 min at n = 256
+# products x max(n, SPECTRAL_FLOOR_N)^3 per mixing_deviation_sum call: ~15 min at n = 256
+# (0.83 ms a product on a Xeon core); at n = 2 one costs 5-7 us, the n^3 price of n = 52
+SPECTRAL_WORK_CAP = 2**44
+SPECTRAL_FLOOR_N = 64
 
 
 def validate_mixing(entries) -> np.ndarray:
@@ -167,29 +169,27 @@ def expected_matrix(p: NetworkProcess) -> np.ndarray:
     return validate_mixing(w)
 
 
-def _centred_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of C = W - J/n, symmetrised (validation allows asymmetry up to MATRIX_TOL)."""
+def _centred_spectrum(w: np.ndarray):
+    """C = W - J/n, symmetrised (validation allows asymmetry up to MATRIX_TOL), read once:
+    (largest eigenvalue, any |eigenvalue| within MATRIX_TOL of 1, largest |eigenvalue| not)."""
     c = w - 1.0 / w.shape[0]
-    return np.linalg.eigvalsh(0.5 * (c + c.T))
+    eig = np.linalg.eigvalsh(0.5 * (c + c.T))
+    unit = np.abs(eig) > 1 - MATRIX_TOL
+    return float(eig[-1]), bool(unit.any()), float(np.abs(eig[~unit]).max(initial=0.0))
 
 
 def sigma2(w) -> float:
     """Second-largest singular value: the spectral norm of W - (1/n) * ones * ones^T.
 
-    For symmetric doubly stochastic W this is the largest absolute eigenvalue
-    of the centred matrix, taken from a symmetric eigensolver.
+    For symmetric doubly stochastic W, the largest |eigenvalue| of the centred
+    matrix C. Raises DistDetectError unless W is connected (A3), that is unless
+    1 is a simple eigenvalue of W: no eigenvalue of C within MATRIX_TOL of 1.
+    One within MATRIX_TOL of -1 (a periodic W) gives exactly 1.
     """
-    return min(float(np.abs(_centred_eigenvalues(validate_mixing(w))).max()), 1.0)
-
-
-def check_expected_connectivity(w_bar) -> bool:
-    """True iff the support graph of E[W] (off-diagonal entries > 1e-12) is connected."""
-    adj = np.asarray(w_bar) > POSITIVE_ENTRY_TOL
-    seen = new = np.arange(len(adj)) == 0
-    while new.any():  # breadth-first from agent 0
-        new = adj[new].any(axis=0) & ~seen
-        seen = seen | new
-    return bool(seen.all())
+    top, unit, rho = _centred_spectrum(validate_mixing(w))
+    if top > 1 - MATRIX_TOL:
+        raise DistDetectError("network is not connected in expectation (A3 violated)")
+    return 1.0 if unit else rho
 
 
 def mixing_deviation_sum(w, t_values) -> np.ndarray:
@@ -205,7 +205,8 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
     the pass stops once sqrt(n) rho^(s-1) / (1 - rho) is below half an ulp of
     every sum. The powers s+1, s+2, ... then add what C^(s-1), C^s, C^(s-1),
     ... add, or nothing if U = 0, so any larger t is finished in closed form.
-    Raises DistDetectError if the pass may need more than SPECTRAL_WORK_CAP / n^3 products.
+    Raises DistDetectError if the pass may need more than
+    SPECTRAL_WORK_CAP / max(n, SPECTRAL_FLOOR_N)^3 products.
     """
     t_values = [operator.index(t) for t in t_values]
     for t in t_values:
@@ -215,14 +216,14 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
     n = w.shape[0]
     wanted, rows = np.unique(t_values, return_inverse=True)
     snapshots = np.empty((len(wanted), n))
-    # |eigenvalues| of C; t <= 2 reads at most C^1 and needs none of them
-    eig = np.abs(_centred_eigenvalues(w)) if max(t_values, default=0) >= 3 else np.zeros(1)
-    unit, rho = (eig > 1 - MATRIX_TOL).any(), eig[eig <= 1 - MATRIX_TOL].max(initial=0.0)
+    # t <= 2 reads at most C^1 and needs no eigenvalue of C
+    _, unit, rho = _centred_spectrum(w) if max(t_values, default=0) >= 3 else (0.0, False, 0.0)
     # every sum is >= 2(n-1)/n >= 1, whose half ulp is >= 2^-53: the rule holds by this s
     last = 2 + int(math.log(2**-53 * (1 - rho) / n**0.5) / math.log(rho)) if rho else 2
-    if (products := min(max(t_values, default=1) - 1, last)) * n**3 > SPECTRAL_WORK_CAP:
+    products = min(max(t_values, default=1) - 1, last)
+    if products * max(n, SPECTRAL_FLOOR_N)**3 > SPECTRAL_WORK_CAP:
         raise DistDetectError(f"t = {max(t_values)} needs up to {products} products of {n} x {n} "
-                              f"matrices, more than SPECTRAL_WORK_CAP = 2^44 / n^3 allows")
+                              f"matrices, more than 2^44 / max(n, 64)^3 allow")
     c = w - 1.0 / n
     power, s, increment, stopped = np.eye(n), 0, None, False  # C^s and its |.| row sums
     total = np.abs(power - 1.0 / n).sum(axis=1)  # holds the powers 0 .. s

@@ -433,16 +433,57 @@ class TestSpectralCommand:
 ], ids=lambda c: c[-1])
 def test_scenario_checked_and_derived_once(tmp_path, monkeypatch, command):
     calls = {}
-    for owner, name in ((network, "expected_matrix"), (network, "check_expected_connectivity"),
-                        (network, "sigma2"), (signals, "validate_model")):
+    for owner, name in ((network, "expected_matrix"), (network, "sigma2"),
+                        (signals, "validate_model"), (signals, "log_bound_B"),
+                        (signals, "second_state")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
     path = write_config(tmp_path, {"checkpoints": [10, 40]})
     assert cli.main([command[0], str(path), *command[1:]]) in (0, 1)
-    assert calls == {"expected_matrix": 1, "check_expected_connectivity": 1,
-                     "sigma2": 1, "validate_model": 1}
+    assert calls == {"expected_matrix": 1, "sigma2": 1, "validate_model": 1,
+                     "log_bound_B": 1, "second_state": 1}
+
+
+# the artifact each command opens first
+FIRST_ARTIFACT = [(["simulate"], "trajectories.csv"), (["spectral"], "spectral.json"),
+                  (["verify", "--which", "prop1"], "verify_prop1.json")]
+
+
+@pytest.mark.parametrize("command, artifact", FIRST_ARTIFACT,
+                         ids=["simulate", "spectral", "verify"])
+def test_unopenable_artifact_exits_2(tmp_path, capsys, command, artifact):
+    path = write_config(tmp_path)
+    (tmp_path / "out" / artifact).mkdir(parents=True)
+    assert cli.main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert artifact in err and str(tmp_path / "out") in err
+    assert "Traceback" not in err
+
+
+# the zero-diagonal 4-cycle with weight 1/2 per edge: connected, but E[W]
+# has eigenvalue -1, so sigma2 = 1 and the spectral gap is 0
+HALF_CYCLE4 = [[0, 0.5, 0, 0.5], [0.5, 0, 0.5, 0], [0, 0.5, 0, 0.5], [0.5, 0, 0.5, 0]]
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["spectral"], ["verify", "--which", "theorem1"],
+    ["verify", "--which", "prop1"],
+], ids=lambda c: c[-1])
+def test_zero_gap_theorem1_rate_refused_at_load(tmp_path, capsys, command):
+    path = write_config(tmp_path, {"network": {"kind": "fixed", "matrix": HALF_CYCLE4},
+                                   "learning_rate": "theorem1"})
+    assert cli.main([command[0], str(path), *command[1:]]) == 2
+    assert "config invalid: sigma2 must lie in [0, 1), got 1.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_gap_spectral_reports_sigma2_one(tmp_path):
+    path = write_config(tmp_path, {"network": {"kind": "fixed", "matrix": HALF_CYCLE4}})
+    assert cli.main(["spectral", str(path)]) == 0
+    doc = json.loads((tmp_path / "out" / "spectral.json").read_text())
+    assert doc["sigma2"] == 1.0 and doc["spectral_gap"] == 0.0
 
 
 def ring_config(tmp_path, n):
@@ -710,6 +751,15 @@ def cycle32_config(tmp_path):
     }, name="cycle32.yaml")
 
 
+def lazy_pair_config(tmp_path):
+    """Two agents on the fixed W = [[1 - 1e-9, 1e-9], [1e-9, 1 - 1e-9]]: gap 2e-9."""
+    eps = 1e-9
+    return write_config(tmp_path, {
+        "signal_model.agents": [[[0.8, 0.2], [0.2, 0.8]], [[0.5, 0.5]] * 2],
+        "network": {"kind": "fixed", "matrix": [[1 - eps, eps], [eps, 1 - eps]]},
+    }, name="lazy_pair.yaml")
+
+
 def pair_config(tmp_path):
     """One gossip edge between two agents, run to t = 10^18."""
     return write_config(tmp_path, {
@@ -722,9 +772,12 @@ def pair_config(tmp_path):
 @pytest.mark.parametrize("make_config, command, fields", [
     (cycle32_config, ["spectral", "--t-values", str(10**18)], None),
     (lambda p: ring_config(p, 256), ["spectral", "--t-values", str(10**12)], [f"t = {10**12}"]),
+    # ~3e10 products of 2 x 2 matrices: under an n^3 price, but about two days
+    (lazy_pair_config, ["spectral", "--t-values", str(10**12)], [f"t = {10**12}"]),
     (pair_config, ["verify", "--which", "theorem1", "--trials", "1"], ["horizon", "trials"]),
     (pair_config, ["verify", "--which", "prop1", "--trials", "1"], ["horizon", "trials"]),
-], ids=["spectral-cycle32-1e18", "spectral-ring256-1e12", "theorem1-1e18", "prop1-1e18"])
+], ids=["spectral-cycle32-1e18", "spectral-ring256-1e12", "spectral-lazy-pair-1e12",
+        "theorem1-1e18", "prop1-1e18"])
 def test_unbounded_work_returns_or_exits_2_quickly(tmp_path, make_config, command, fields):
     # a periodic network, a tiny spectral gap and a huge horizon are each
     # finished in closed form or refused up front, not run for years

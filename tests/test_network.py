@@ -45,7 +45,8 @@ class TestMetropolis:
     def test_edgeless_is_identity(self):
         w = network.metropolis_matrix(3, [])
         np.testing.assert_array_equal(w, np.eye(3))
-        assert not network.check_expected_connectivity(w)
+        with pytest.raises(DistDetectError, match="A3"):
+            network.sigma2(w)
 
     def test_positive_diagonal(self):
         for g in (cycle_graph(5), star_graph(6), path_graph(4)):
@@ -236,15 +237,12 @@ class TestExpectedMatrix:
         w2 = pair_average_matrix(4, 2, 3)
         w3 = pair_average_matrix(4, 1, 2)
         p = network.finite_support_process([(w1, 0.4), (w2, 0.4), (w3, 0.2)])
-        assert network.check_expected_connectivity(network.expected_matrix(p))
+        assert network.sigma2(network.expected_matrix(p)) < 1
 
 
 class TestSigma2:
     def test_uniform_projector_is_zero(self):
         assert network.sigma2(np.full((5, 5), 0.2)) == pytest.approx(0.0, abs=1e-10)
-
-    def test_identity_is_one(self):
-        assert network.sigma2(np.eye(4)) == pytest.approx(1.0, abs=1e-10)
 
     def test_path3_metropolis(self, path3_matrix):
         # eigenvalues are {1, 2/3, 0}
@@ -269,20 +267,62 @@ class TestSigma2:
         assert 1.0 - network.sigma2(w) == pytest.approx(gap, rel=1e-9)
 
 
+def lazy_pair(eps):
+    """[[1-eps, eps], [eps, 1-eps]]: C = W - J/2 has eigenvalues 0 and 1 - 2 eps."""
+    return np.array([[1 - eps, eps], [eps, 1 - eps]])
+
+
+def near_swap(eps):
+    """[[eps, 1-eps], [1-eps, eps]]: C = W - J/2 has eigenvalues 0 and 2 eps - 1."""
+    return np.array([[eps, 1 - eps], [1 - eps, eps]])
+
+
 class TestConnectivity:
+    # A3 is read off the spectrum: W is connected iff no eigenvalue of
+    # C = W - J/n lies within MATRIX_TOL = 1e-12 of 1
     def test_identity_disconnected(self):
-        assert not network.check_expected_connectivity(np.eye(3))
+        with pytest.raises(DistDetectError, match="A3"):
+            network.sigma2(np.eye(3))
 
     def test_gossip_connected_base(self):
-        assert network.check_expected_connectivity(
-            network.expected_matrix(network.gossip_process(*cycle_graph(6)))
-        )
+        w = network.expected_matrix(network.gossip_process(*cycle_graph(6)))
+        assert 0 < network.sigma2(w) < 1
 
     def test_connected_implies_subunit_sigma2(self):
         for g in (cycle_graph(5), star_graph(7)):
-            p = network.gossip_process(*g)
-            assert network.check_expected_connectivity(network.expected_matrix(p))
-            assert network.sigma2(network.expected_matrix(p)) < 1
+            assert network.sigma2(network.expected_matrix(network.gossip_process(*g))) < 1
+
+    def test_disjoint_pairs_disconnected(self):
+        w = 0.5 * (pair_average_matrix(4, 0, 1) + pair_average_matrix(4, 2, 3))
+        with pytest.raises(DistDetectError, match="A3"):
+            network.sigma2(w)
+
+    def test_lazy_pair_refused_within_tolerance(self):
+        # a gap of 4e-13 is below the tolerance
+        with pytest.raises(DistDetectError, match="A3"):
+            network.sigma2(lazy_pair(2e-13))
+
+    @pytest.mark.parametrize("eps", [8e-13, 5e-12])
+    def test_lazy_pair_accepted_beyond_tolerance(self, eps):
+        # the gap 2 eps decides, not whether the entries exceed 1e-12
+        assert network.sigma2(lazy_pair(eps)) == pytest.approx(1 - 2 * eps, abs=1e-15)
+
+    @pytest.mark.parametrize("eps, s2", [(2e-13, 1.0), (8e-13, 1 - 1.6e-12), (5e-12, 1 - 1e-11)])
+    def test_near_swap_connected(self, eps, s2):
+        # an eigenvalue near -1 leaves 1 simple: connected, however small eps
+        # is; within the tolerance of -1 it counts as -1
+        assert network.sigma2(near_swap(eps)) == pytest.approx(s2, abs=1e-15)
+
+    def test_near_swap_read_as_periodic_by_both_readers(self):
+        # within the tolerance of -1, sigma2 and mixing_deviation_sum agree the
+        # network is periodic: sigma2 is exactly 1 and the deviation sum of a
+        # huge t is finished in closed form at once
+        w = near_swap(2e-13)
+        assert network.sigma2(w) == 1.0
+        start = time.perf_counter()
+        got = network.mixing_deviation_sum(w, [10**18])
+        assert time.perf_counter() - start < 1.0
+        assert got.shape == (1, 2) and np.isfinite(got).all()
 
 
 def row_deviation_oracle(w, i, t):
