@@ -244,6 +244,15 @@ class TestSigma2:
     def test_uniform_projector_is_zero(self):
         assert network.sigma2(np.full((5, 5), 0.2)) == pytest.approx(0.0, abs=1e-10)
 
+    def test_identity_is_one(self):
+        # C = I - J/n has the eigenvalue 1 with multiplicity n - 1, so the
+        # second singular value of I is 1 and sigma2 refuses it as A3 violated
+        top, unit, _ = network._centred_spectrum(np.eye(4))
+        assert top == pytest.approx(1.0, abs=1e-10)
+        assert unit
+        with pytest.raises(DistDetectError, match="A3"):
+            network.sigma2(np.eye(4))
+
     def test_path3_metropolis(self, path3_matrix):
         # eigenvalues are {1, 2/3, 0}
         assert network.sigma2(path3_matrix) == pytest.approx(2 / 3, abs=1e-9)
