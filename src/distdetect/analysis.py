@@ -73,10 +73,11 @@ def potential_blocks(model, process, horizon: int, base_seed: int, trials,
     if len(trials) * horizon * n * m > ENGINE_WORK_CAP:
         raise DistDetectError(f"{len(trials)} trials x horizon {horizon} x n {n} x m {m} is "
                               f"above ENGINE_WORK_CAP = 2^50 (prop1's horizon: last checkpoint)")
-    k = process.uniforms
-    cdf, logtab = signals.padded_tables(model)
-    width = cdf.shape[1]
-    table = logtab.reshape(n * width, m)  # row i * width + s: agent i's symbol s
+    k, width = process.uniforms, model.lik.shape[2]
+    # true-state CDFs, +inf from each agent's last symbol on, where a draw stops
+    cdf = np.where(np.arange(width) < model.alphabet[:, None] - 1,
+                   np.cumsum(model.lik[:, model.true_index], axis=1), np.inf)
+    table = np.log(model.lik).swapaxes(1, 2).reshape(n * width, m)  # row i * width + s
     first_rows = np.arange(n) * width
     block, group = block_shape(n, m)
     for g0 in range(0, len(trials), group):
@@ -207,8 +208,7 @@ def theorem1_learning_rate(B: float, n: int, sigma2_w: float) -> float:
     """The spectral-gap-scaled learning rate (1 - sigma2) / (16 B log n)."""
     if n < 2:
         raise DistDetectError(f"need n >= 2, got {n}")
-    if not 0 <= sigma2_w < 1:
-        raise DistDetectError(f"sigma2 must lie in [0, 1), got {sigma2_w}")
+    _check_sigma2(sigma2_w, "so learning_rate: theorem1 would set eta = 0")
     if B <= 0:
         raise DistDetectError(f"log bound B must be positive, got {B}")
     return (1.0 - sigma2_w) / (16.0 * B * math.log(n))
@@ -247,8 +247,15 @@ def _check_bound_inputs(*, B, I, m, n, delta, sigma2_w):
         raise DistDetectError(f"need B > 0 and I > 0, got B={B}, I={I}")
     if not 0 < delta < 1:
         raise DistDetectError(f"delta must lie in (0, 1), got {delta}")
+    _check_sigma2(sigma2_w, "and the bounds divide by that gap")
+
+
+def _check_sigma2(sigma2_w, consequence: str):
+    """Raise unless 0 <= sigma2 < 1, naming a network with no spectral gap as the cause."""
     if not 0 <= sigma2_w < 1:
-        raise DistDetectError(f"sigma2 must lie in [0, 1), got {sigma2_w}")
+        cause = (f": the expected network has no spectral gap (sigma2 = 1), {consequence}"
+                 if sigma2_w == 1 else "")
+        raise DistDetectError(f"sigma2 must lie in [0, 1), got {sigma2_w}{cause}")
 
 
 class Scenario:

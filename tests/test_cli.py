@@ -479,6 +479,31 @@ def test_zero_gap_theorem1_rate_refused_at_load(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+# 2 agents that swap potentials: connected, period 2, so E[W] = W has no spectral gap
+SWAP = {"signal_model.agents": [[[0.8, 0.2], [0.2, 0.8]], [[0.5, 0.5]] * 2],
+        "network": {"kind": "fixed", "matrix": [[0, 1], [1, 0]]}}
+NO_GAP = "the expected network has no spectral gap (sigma2 = 1)"
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["spectral"], ["verify", "--which", "prop1"],
+], ids=lambda c: c[-1])
+def test_no_gap_theorem1_rate_names_the_network_and_key(tmp_path, capsys, command):
+    path = write_config(tmp_path, {**SWAP, "learning_rate": "theorem1"})
+    assert cli.main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config invalid: ") and NO_GAP in err
+    assert "learning_rate: theorem1" in err
+
+
+@pytest.mark.parametrize("which", ["prop1", "theorem1"])
+def test_no_gap_bounds_name_the_network(tmp_path, capsys, which):
+    path = write_config(tmp_path, SWAP)
+    assert cli.main(["verify", str(path), "--which", which]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma2 must lie in [0, 1), got 1.0: ") and NO_GAP in err
+
+
 def test_zero_gap_spectral_reports_sigma2_one(tmp_path):
     path = write_config(tmp_path, {"network": {"kind": "fixed", "matrix": HALF_CYCLE4}})
     assert cli.main(["spectral", str(path)]) == 0
@@ -561,6 +586,24 @@ def test_only_simulate_loads_the_csv_formatter(tmp_path):
                       "verify --which prop1", "verify --which theorem1", "spectral", "simulate"])
     seen = res.stdout.splitlines()[-1:]  # the commands' own lines come before
     assert seen == ["False False False False True"], res.stderr
+
+
+# whether NumPy's random module and the CSV formatter's module are loaded
+# after `spectral --t-values 1` on argv[1], run in this process
+SPECTRAL_LOADS = """
+import sys, distdetect.cli as cli
+assert cli.main(["spectral", sys.argv[1], "--t-values", "1"]) == 0
+print(*(m in sys.modules for m in ("numpy.random", "distdetect.trajectories")))
+"""
+
+
+def test_spectral_loads_no_generator_or_formatter(tmp_path):
+    # `spectral --t-values 1` is the set-up that every command pays, and it
+    # draws nothing and writes no CSV: `numpy.random` alone takes about 14 ms
+    # to import on a 2-core machine
+    path = write_config(tmp_path)
+    res = run_python(["-c", SPECTRAL_LOADS, str(path)])
+    assert res.stdout.splitlines()[-1:] == ["False False"], res.stderr
 
 
 def test_module_entry_point_exits_2_without_traceback(tmp_path):

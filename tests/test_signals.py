@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distdetect import detection, signals
 from distdetect.errors import DistDetectError
@@ -12,12 +13,11 @@ from conftest import INFORMATIVE, UNINFORMATIVE_2
 
 class TestValidation:
     def test_valid_model_equivalence_sets(self, two_agent_model):
-        # swap roles: agent 0 informative => its set is {true}; agent 1 sees everything alike
+        # agent 0 tells state 1 from the truth and agent 1 does not: identifiable,
+        # while two copies of agent 1 leave state 1 equivalent for every agent
         assert signals.validate_model(two_agent_model) is None
-        equiv = [signals.equivalent_states(two_agent_model, i) for i in range(2)]
-        assert equiv[0] == {0}
-        assert equiv[1] == {0, 1}
-        assert set.intersection(*equiv) == {0}
+        with pytest.raises(DistDetectError, match=r"states \[1\] are observationally"):
+            signals.SignalModel([UNINFORMATIVE_2, UNINFORMATIVE_2, UNINFORMATIVE_2])
 
     def test_uninformative_pair_not_identifiable(self):
         with pytest.raises(DistDetectError, match=r"states \[1\] are observationally equivalent"):
@@ -42,6 +42,11 @@ class TestValidation:
         with pytest.raises(DistDetectError, match=message):
             signals.SignalModel(tables, true_index)
 
+    def test_shapes_checked_before_values(self):
+        # agent 0 has a zero entry and agent 1 a missing row: the shape is reported
+        with pytest.raises(DistDetectError, match="agent 1 table has 1 rows, model has 2 states"):
+            signals.SignalModel([[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5]]])
+
 
 class TestLogBound:
     def test_uniform_binary(self):
@@ -61,22 +66,34 @@ class TestLogBound:
 
 
 class TestEquivalentStates:
+    # a state is equivalent to the true one for an agent whose two rows match;
+    # the model loads iff no false state is equivalent for every agent
     def test_uninformative_sees_all(self):
         uninf3 = [[0.5, 0.5]] * 3
-        inf3 = [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]]
-        m = signals.SignalModel([uninf3, inf3])
-        assert signals.equivalent_states(m, 0) == {0, 1, 2}
+        with pytest.raises(DistDetectError, match=r"states \[1, 2\] are observationally"):
+            signals.SignalModel([uninf3, uninf3])
+        with pytest.raises(DistDetectError, match=r"states \[2\] are observationally"):
+            signals.SignalModel([uninf3, [[0.8, 0.2], [0.2, 0.8], [0.8, 0.2]]])
 
     def test_distinct_rows_single(self):
+        # one agent whose rows all differ identifies the truth for any partners
         inf3 = [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]]
-        m = signals.SignalModel([[[0.5, 0.5]] * 3, inf3])
-        assert signals.equivalent_states(m, 1) == {0}
+        assert signals.SignalModel([[[0.5, 0.5]] * 3, inf3, [[0.25] * 4] * 3]).n == 3
 
     def test_duplicate_row(self):
         a = [[0.8, 0.2], [0.2, 0.8], [0.8, 0.2]]  # theta_3 row equals theta_1 row
         b = [[0.8, 0.2], [0.8, 0.2], [0.2, 0.8]]
-        m = signals.SignalModel([a, b])
-        assert signals.equivalent_states(m, 0) == {0, 2}
+        assert signals.SignalModel([a, b]).n == 2  # duplicated for agent 0 only
+        with pytest.raises(DistDetectError, match=r"states \[2\] are observationally"):
+            signals.SignalModel([a, a, [[0.3, 0.3, 0.4]] * 3])  # for every agent
+
+    def test_within_tolerance_is_equivalent(self):
+        # rows match when every entry is within EQUIV_TOL of the true row's
+        a = [[0.8, 0.2], [0.2, 0.8], [0.8 + 5e-13, 0.2 - 5e-13]]
+        with pytest.raises(DistDetectError, match=r"states \[2\] are observationally"):
+            signals.SignalModel([a, a])
+        a[2] = [0.8 + 2e-12, 0.2 - 2e-12]
+        assert signals.SignalModel([a, a]).m == 3
 
 
 class TestPairwiseRate:
@@ -175,3 +192,86 @@ def test_law_of_large_numbers(two_agent_model):
     expected = kl_divergence(table[0], table[1])
     se = gaps.std(ddof=1) / math.sqrt(n_draws)
     assert abs(gaps.mean() - expected) <= 3 * se
+
+
+# Per-agent references for the stacked checks and quantities: each agent's
+# own table, in agent order, with no padding.
+def reference_message(tables, true):
+    """The first value check a model fails, as its error message, or None."""
+    for i, t in enumerate(tables):
+        if not np.all(t > 0):
+            return f"agent {i} table has a non-positive or NaN entry; log-bound would be infinite"
+        sums = t.sum(axis=1)
+        bad = np.abs(sums - 1.0) > signals.ROW_SUM_TOL
+        if np.any(bad):
+            return f"agent {i} rows {np.flatnonzero(bad).tolist()} sum to {sums[bad]}"
+    common = set.intersection(*({k for k in range(len(t))
+                                 if np.abs(t[k] - t[true]).max() <= signals.EQUIV_TOL}
+                                for t in tables))
+    if common != {true}:
+        return (f"states {sorted(common - {true})} are observationally "
+                "equivalent to the true state for every agent")
+    return None
+
+
+def reference_rates(tables, true):
+    total = 0.0
+    for t in tables:
+        p = t[true]
+        total = total + np.maximum((p * np.log(p / t)).sum(axis=1), 0.0)
+    return total / len(tables)
+
+
+@st.composite
+def mixed_tables(draw):
+    """Tables of 2 to 12 agents, 2 to 4 states and alphabets of 2 to 7 symbols.
+
+    Each false state's row is copied from the true row for every agent, for
+    all but one agent or for none, and a copy may be off by 5e-13 (within
+    EQUIV_TOL) or 2e-12 (outside it), so both verdicts occur.
+    """
+    n, m = draw(st.integers(2, 12)), draw(st.integers(2, 4))
+    true = draw(st.integers(0, m - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = []
+    for _ in range(n):
+        t = rng.uniform(0.05, 1.0, size=(m, draw(st.integers(2, 7))))
+        tables.append(t / t.sum(axis=1, keepdims=True))
+    for k in range(m):
+        revealer = draw(st.integers(-1, n))  # -1: copied for all; n: copied for none
+        for i, t in enumerate(tables):
+            if k != true and revealer != n and i != revealer:
+                t[k] = t[true]
+                t[k, :2] += draw(st.sampled_from([0.0, 5e-13, 2e-12])) * np.array([1, -1])
+    return tables, true
+
+
+class TestStackedModel:
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_tables())
+    def test_matches_per_agent_reference(self, case):
+        tables, true = case
+        message = reference_message(tables, true)
+        if message is not None:
+            with pytest.raises(DistDetectError) as exc:
+                signals.SignalModel(tables, true)
+            assert str(exc.value) == message
+            return
+        model = signals.SignalModel(tables, true)
+        assert signals.log_bound_B(model) == max(float(np.abs(np.log(t)).max()) for t in tables)
+        assert np.array_equal(signals.pairwise_rates(model), reference_rates(tables, true))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_tables(), st.data())
+    def test_corrupted_agents_report_the_first_fault(self, case, data):
+        tables, true = case
+        for _ in range(data.draw(st.integers(1, 3))):
+            t = tables[data.draw(st.integers(0, len(tables) - 1))]
+            k = data.draw(st.integers(0, t.shape[0] - 1))
+            s = data.draw(st.integers(0, t.shape[1] - 1))
+            t[k, s] = data.draw(st.sampled_from([0.0, -0.1, np.nan, 1.5 * t[k, s]]))
+        message = reference_message(tables, true)
+        assert message is not None and "observationally" not in message
+        with pytest.raises(DistDetectError) as exc:
+            signals.SignalModel(tables, true)
+        assert str(exc.value) == message
