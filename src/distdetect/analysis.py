@@ -50,10 +50,10 @@ def block_shape(n: int, m: int):
     return steps, max(1, BLOCK_ELEMENTS // (steps * n * m))
 
 
-def potential_blocks(model, process, horizon: int, base_seed: int, trials,
-                     centralized: bool = True):
-    """Advance the given trials together and yield their potentials block by block.
+def potential_blocks(sc, horizon: int, base_seed: int, trials, centralized: bool = True):
+    """Advance the given trials of Scenario `sc` together, yielding potentials block by block.
 
+    `horizon` is the step count: the Scenario's, or prop1's last checkpoint.
     `trials` is a sequence of trial indices, such as a range. Yields
     (rows, t0, dec, cen) for consecutive blocks of `block_shape` steps:
     `rows` is the slice of `trials` being advanced, dec the
@@ -69,11 +69,11 @@ def potential_blocks(model, process, horizon: int, base_seed: int, trials,
     stream nor the arithmetic of any trial. Raises DistDetectError if trials x
     horizon x n x m is above ENGINE_WORK_CAP.
     """
-    n, m = model.n, model.m
+    model, n, m = sc.model, sc.model.n, sc.model.m
     if len(trials) * horizon * n * m > ENGINE_WORK_CAP:
         raise DistDetectError(f"{len(trials)} trials x horizon {horizon} x n {n} x m {m} is "
                               f"above ENGINE_WORK_CAP = 2^50 (prop1's horizon: last checkpoint)")
-    k, width = process.uniforms, model.lik.shape[2]
+    k, width = sc.process.uniforms, model.lik.shape[2]
     # true-state CDFs, +inf from each agent's last symbol on, where a draw stops
     cdf = np.where(np.arange(width) < model.alphabet[:, None] - 1,
                    np.cumsum(model.lik[:, model.true_index], axis=1), np.inf)
@@ -91,7 +91,7 @@ def potential_blocks(model, process, horizon: int, base_seed: int, trials,
             # an agent's symbol is the count of its CDF entries <= its uniform
             symbols = sum(_columns(cdf <= u[..., k:, None]), start=first_rows)
             psi = np.take(table, symbols, axis=0)
-            dec = process.advance(phi, u[..., :k], psi)
+            dec = sc.process.advance(phi, u[..., :k], psi)
             phi = dec[-1]
             if centralized:
                 # accumulate from the carried value so sums run in step order
@@ -160,20 +160,20 @@ def _per_trial(trials, axes: dict, fill=None) -> np.ndarray:
             f"values is too large to hold: {exc}") from exc
 
 
-def simulate_trials(model, process, eta: float, horizon: int, base_seed: int, trials):
-    """Run both engines on common signal streams for `horizon` steps per trial.
+def simulate_trials(sc, base_seed: int, trials):
+    """Run both engines of Scenario `sc` on common signal streams to its horizon.
 
     Returns (tv_error, kl_increment, centralized_tv, max_potential_gap): two
     R x T x n arrays, one R x T array and the largest gap over all trials and steps.
     """
-    n, true = model.n, model.true_index
+    n, true, horizon = sc.model.n, sc.model.true_index, sc.horizon
     series, per_step = {"horizon": horizon, "n": n}, {"horizon": horizon}
     tv, kl = _per_trial(trials, series), _per_trial(trials, series)
     ctv = _per_trial(trials, per_step)
     max_gap = 0.0
-    for rows, t0, dec, cen in potential_blocks(model, process, horizon, base_seed, trials):
+    for rows, t0, dec, cen in potential_blocks(sc, horizon, base_seed, trials):
         steps = slice(t0, t0 + len(dec))
-        inc, mu, mu_c = _kl_to_centralized(dec, cen, eta)
+        inc, mu, mu_c = _kl_to_centralized(dec, cen, sc.eta)
         kl[rows, steps] = inc.swapaxes(0, 1)
         tv[rows, steps] = _tv_error(mu, true).swapaxes(0, 1)
         ctv[rows, steps] = _tv_error(mu_c, true).T
@@ -264,6 +264,7 @@ class Scenario:
     Construction checks the network against the model (sizes, and A3 through
     `sigma2` of E[W], kept as `w_bar`) and derives the other inputs of the
     bounds once: `B`, the hardest false state `second_state`, its `rate`, `eta`.
+    It refuses an eta at which the engine's costs could overflow.
     """
 
     def __init__(self, model: signals.SignalModel, process: network.NetworkProcess,
@@ -283,27 +284,33 @@ class Scenario:
         if learning_rate == "theorem1":
             learning_rate = theorem1_learning_rate(self.B, model.n, self.sigma2)
         self.eta = 1.0 if learning_rate == "unit" else float(learning_rate)
+        # |phi| <= B t, so a KL increment is at most 4 eta B t, a trial's cost at most
+        # 4 eta B T^2 and a sum of R trials' costs, as R T <= ENGINE_WORK_CAP, at most this
+        steps = max((horizon, *checkpoints))
+        if not math.isfinite(4.0 * self.eta * self.B * steps * ENGINE_WORK_CAP):
+            raise DistDetectError(
+                f"learning_rate {self.eta!r} lets the KL costs overflow: 4 eta B T 2^50 is "
+                f"not finite at B = {self.B!r} and T = {steps}, the horizon or last checkpoint")
 
 
-def theorem1_statistics(sc: Scenario, eta, base_seed, trials) -> np.ndarray:
+def theorem1_statistics(sc: Scenario, base_seed, trials) -> np.ndarray:
     """Per trial, the largest cumulative KL cost over agents at horizon T."""
     cost = _per_trial(trials, {"n": sc.model.n}, fill=0.0)
-    for rows, _, dec, cen in potential_blocks(
-            sc.model, sc.process, sc.horizon, base_seed, trials):
-        cost[rows] += _kl_to_centralized(dec, cen, eta)[0].sum(axis=0)
+    for rows, _, dec, cen in potential_blocks(sc, sc.horizon, base_seed, trials):
+        cost[rows] += _kl_to_centralized(dec, cen, sc.eta)[0].sum(axis=0)
     return cost.max(axis=1)
 
 
-def prop1_statistics(sc: Scenario, eta, base_seed, trials) -> np.ndarray:
+def prop1_statistics(sc: Scenario, base_seed, trials) -> np.ndarray:
     """Per trial and checkpoint, the largest log TV error over agents: (R, C)."""
     true = sc.model.true_index
     # NaN until its checkpoint is reached, so an unreached one fails closed
     stats = _per_trial(trials, {"checkpoints": len(sc.checkpoints)}, fill=np.nan)
-    for rows, t0, dec, _ in potential_blocks(
-            sc.model, sc.process, max(sc.checkpoints), base_seed, trials, centralized=False):
+    for rows, t0, dec, _ in potential_blocks(sc, max(sc.checkpoints), base_seed, trials,
+                                             centralized=False):
         for c, t in enumerate(sc.checkpoints):
             if t0 < t <= t0 + len(dec):
-                tv = _tv_error(_beliefs(dec[t - t0 - 1], eta)[2], true)
+                tv = _tv_error(_beliefs(dec[t - t0 - 1], sc.eta)[2], true)
                 with np.errstate(divide="ignore"):
                     stats[rows, c] = np.log(tv).max(axis=1)  # log(0) = -inf is fine
     return stats
@@ -331,12 +338,12 @@ def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list
     if which == "theorem1":
         checkpoints, horizon = [None], sc.horizon
         bounds = [theorem1_bound(B, I, m, n, delta, s2)]
-        statistics = theorem1_statistics(sc, eta, base_seed, range(R))[:, None]
+        statistics = theorem1_statistics(sc, base_seed, range(R))[:, None]
     else:
         checkpoints, horizon = sc.checkpoints, None
         bounds = [prop1_log_tv_bound(B, I, m, n, delta, s2, t, eta=eta)
                   for t in checkpoints]
-        statistics = prop1_statistics(sc, eta, base_seed, range(R))
+        statistics = prop1_statistics(sc, base_seed, range(R))
 
     slack = 3.0 * math.sqrt(delta * (1.0 - delta) / R)
     reports = []

@@ -71,17 +71,22 @@ def random_mixing_matrix(rng, n):
     return network.metropolis_matrix(n, edges)
 
 
-def exp_gap_sums(model, process, horizon, base_seed, trials):
+def scenario(model, process, horizon, checkpoints=(), learning_rate="unit", delta=0.1):
+    """The checked `analysis.Scenario` of a model and process, with test defaults."""
+    return analysis.Scenario(model=model, process=process, horizon=horizon,
+                             learning_rate=learning_rate, delta=delta, checkpoints=checkpoints)
+
+
+def exp_gap_sums(sc, base_seed, trials):
     """sum_{k != true} exp(phi_ik - phi_i,true) per trial, step and agent: (R, T, n).
 
-    This is the eta = 1 bound on each agent's TV error. The potentials come
-    from `analysis.potential_blocks` with the seeds `simulate_trials` uses,
-    so row r matches row r of its batch.
+    This is the eta = 1 bound on each agent's TV error, to Scenario `sc`'s
+    horizon. The potentials come from `analysis.potential_blocks` with the
+    seeds `simulate_trials` uses, so row r matches row r of its batch.
     """
-    true = model.true_index
-    out = np.empty((len(trials), horizon, model.n))
-    for rows, t0, dec, _ in analysis.potential_blocks(model, process, horizon, base_seed,
-                                                      trials):
+    true = sc.model.true_index
+    out = np.empty((len(trials), sc.horizon, sc.model.n))
+    for rows, t0, dec, _ in analysis.potential_blocks(sc, sc.horizon, base_seed, trials):
         with np.errstate(over="ignore"):
             gaps = analysis._false_mass(np.exp(dec - dec[..., [true]]), true)
         out[rows, t0:t0 + len(dec)] = gaps.swapaxes(0, 1)

@@ -13,7 +13,7 @@ import yaml
 from distdetect import analysis, cli, detection, network, signals
 
 from conftest import (complete_graph, cycle_graph, exp_gap_sums, path_graph,
-                      random_mixing_matrix, rate_slope, star_graph)
+                      random_mixing_matrix, rate_slope, scenario, star_graph)
 
 UNINF3 = [[0.5, 0.5]] * 3
 REF_TABLES = [
@@ -41,31 +41,35 @@ def ref_process():
 
 
 @pytest.fixture(scope="module")
-def ref_long_trajectories(ref_model, ref_process):
-    """Reference scenario, eta = 1, T = 5000, 20 seeds (criteria 5, 8, 9)."""
-    return analysis.simulate_trials(ref_model, ref_process, 1.0, 5000, BASE_SEED,
-                                    range(N_SEEDS))
+def ref_long(ref_model, ref_process):
+    """Reference scenario, eta = 1, T = 5000 (criteria 5, 8, 9)."""
+    return scenario(ref_model, ref_process, 5000)
+
+
+@pytest.fixture(scope="module")
+def ref_long_trajectories(ref_long):
+    """The reference scenario's batch over 20 seeds."""
+    return analysis.simulate_trials(ref_long, BASE_SEED, range(N_SEEDS))
 
 
 @pytest.fixture(scope="module")
 def six_agent_trajectories():
     """n=6, m=3 gossip on a 6-cycle, T=1000, 20 seeds (criteria 1, 8).
 
-    Returns the model, the process, the batch and the seconds it took.
+    Returns the scenario, the batch and the seconds it took.
     """
     tables = [
         [[0.8, 0.2], [0.2, 0.8], [0.8, 0.2]],
         [[0.8, 0.2], [0.8, 0.2], [0.2, 0.8]],
     ] + [UNINF3] * 4
-    model = signals.SignalModel(tables)
-    process = network.gossip_process(*cycle_graph(6))
+    sc = scenario(signals.SignalModel(tables), network.gossip_process(*cycle_graph(6)), 1000)
     start = time.monotonic()
-    batch = analysis.simulate_trials(model, process, 1.0, 1000, BASE_SEED, range(N_SEEDS))
-    return model, process, batch, time.monotonic() - start
+    batch = analysis.simulate_trials(sc, BASE_SEED, range(N_SEEDS))
+    return sc, batch, time.monotonic() - start
 
 
 def test_criterion_1_connection_identity(six_agent_trajectories):
-    _, _, batch, elapsed = six_agent_trajectories
+    _, batch, elapsed = six_agent_trajectories
     *_, worst = batch
     assert worst <= 1e-8, f"potential gap {worst} exceeds 1e-8"
     assert elapsed < 10.0, f"took {elapsed:.1f}s, limit 10s"
@@ -122,10 +126,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_prop1_verification(ref_model, ref_process):
     start = time.monotonic()
-    sc = analysis.Scenario(
-        model=ref_model, process=ref_process, delta=0.1,
-        horizon=300, checkpoints=(300,), learning_rate="unit",
-    )
+    sc = scenario(ref_model, ref_process, 300, (300,))
     [rep] = analysis.monte_carlo_verify(sc, "prop1", R=500, base_seed=BASE_SEED)
     elapsed = time.monotonic() - start
     threshold = 0.1 + 3 * math.sqrt(0.09 / 500)
@@ -147,10 +148,7 @@ def test_criterion_4_theorem1_verification():
         network.metropolis_matrix(*cycle_graph(8))
     )
     start = time.monotonic()
-    sc = analysis.Scenario(
-        model=model, process=process, delta=0.1,
-        horizon=2000, checkpoints=(2000,), learning_rate="theorem1",
-    )
+    sc = scenario(model, process, 2000, (2000,), learning_rate="theorem1")
     [rep] = analysis.monte_carlo_verify(sc, "theorem1", R=300, base_seed=BASE_SEED)
     elapsed = time.monotonic() - start
     threshold = 0.1 + 3 * math.sqrt(0.09 / 300)
@@ -207,14 +205,13 @@ def test_criterion_7_mixing_deviation_bound():
     _passline(7, f"mixing-deviation bound holds on all fixtures (worst margin {worst_margin:.3f})")
 
 
-def test_criterion_8_tv_exp_gap_inequality(ref_model, ref_process, ref_long_trajectories,
+def test_criterion_8_tv_exp_gap_inequality(ref_long, ref_long_trajectories,
                                            six_agent_trajectories):
-    model, process, six, _ = six_agent_trajectories
-    runs = [(ref_model, ref_process, ref_long_trajectories), (model, process, six)]
-    for model, process, batch in runs:
+    six_sc, six, _ = six_agent_trajectories
+    runs = [(ref_long, ref_long_trajectories), (six_sc, six)]
+    for sc, batch in runs:
         tv_error, *_ = batch
-        horizon = tv_error.shape[1]
-        gaps = exp_gap_sums(model, process, horizon, BASE_SEED, range(N_SEEDS))
+        gaps = exp_gap_sums(sc, BASE_SEED, range(N_SEEDS))
         assert np.all(tv_error <= gaps + 1e-12)
     _passline(8, f"TV <= exp-gap-sum at every step of {len(runs) * N_SEEDS} trajectories")
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from distdetect import analysis, detection, network, prob, signals
 from distdetect.errors import DistDetectError
 
-from conftest import cycle_graph, exp_gap_sums, random_mixing_matrix, rate_slope
+from conftest import cycle_graph, exp_gap_sums, random_mixing_matrix, rate_slope, scenario
 
 
 class TestTheorem1Bound:
@@ -131,10 +131,7 @@ class TestRateSlope:
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self, reference_model, reference_process):
-        sc = analysis.Scenario(
-            model=reference_model, process=reference_process,
-            delta=0.1, horizon=50, checkpoints=(50,), learning_rate="unit",
-        )
+        sc = scenario(reference_model, reference_process, 50, (50,))
         [a] = analysis.monte_carlo_verify(sc, "prop1", R=20, base_seed=5)
         [b] = analysis.monte_carlo_verify(sc, "prop1", R=20, base_seed=5)
         assert a["violations"] == b["violations"]
@@ -142,10 +139,7 @@ class TestMonteCarlo:
 
     def test_reports_name_seed_checkpoint_and_horizon(self, reference_model,
                                                       reference_process):
-        sc = analysis.Scenario(
-            model=reference_model, process=reference_process,
-            delta=0.1, horizon=30, checkpoints=(10, 20), learning_rate="unit",
-        )
+        sc = scenario(reference_model, reference_process, 30, (10, 20))
         reports = analysis.monte_carlo_verify(sc, "prop1", R=2, base_seed=3)
         assert [(r["seed"], r["checkpoint"], r["horizon"]) for r in reports] == [
             (3, 10, None), (3, 20, None)]
@@ -153,42 +147,30 @@ class TestMonteCarlo:
         assert (rep["seed"], rep["checkpoint"], rep["horizon"]) == (4, None, 30)
 
     def test_huge_delta_trivially_passes(self, reference_model, reference_process):
-        sc = analysis.Scenario(
-            model=reference_model, process=reference_process,
-            delta=0.99, horizon=30, checkpoints=(30,), learning_rate="unit",
-        )
+        sc = scenario(reference_model, reference_process, 30, (30,), delta=0.99)
         [rep] = analysis.monte_carlo_verify(sc, "prop1", R=20, base_seed=6)
         assert rep["verdict"] == "pass"
 
     def test_rate_equals_violations_over_trials(self, reference_model, reference_process):
-        sc = analysis.Scenario(
-            model=reference_model, process=reference_process,
-            delta=0.1, horizon=30, checkpoints=(30,), learning_rate="unit",
-        )
+        sc = scenario(reference_model, reference_process, 30, (30,))
         [rep] = analysis.monte_carlo_verify(sc, "prop1", R=25, base_seed=7)
         assert rep["violation_rate"] == rep["violations"] / 25
 
     def test_disconnected_process_rejected(self, reference_model):
         with pytest.raises(DistDetectError, match=r"not connected in expectation \(A3"):
-            analysis.Scenario(
-                model=reference_model, process=network.fixed_process(np.eye(4)),
-                delta=0.1, horizon=30, checkpoints=(30,), learning_rate="unit",
-            )
+            scenario(reference_model, network.fixed_process(np.eye(4)), 30, (30,))
 
     def test_trial_prefix_stability(self, reference_model, reference_process):
-        sc = analysis.Scenario(
-            model=reference_model, process=reference_process,
-            delta=0.1, horizon=30, checkpoints=(30,), learning_rate="unit",
-        )
-        first = analysis.prop1_statistics(sc, 1.0, 9, range(5))
-        again = analysis.prop1_statistics(sc, 1.0, 9, range(10))
+        sc = scenario(reference_model, reference_process, 30, (30,))
+        first = analysis.prop1_statistics(sc, 9, range(5))
+        again = analysis.prop1_statistics(sc, 9, range(10))
         assert first.tolist() == again[:5].tolist()
 
-    def test_nonfinite_statistic_fails_closed(self, reference_model, reference_process):
-        sc = analysis.Scenario(
-            model=reference_model, process=reference_process,
-            delta=0.99, horizon=30, checkpoints=(30,), learning_rate=math.nan,
-        )
+    def test_nonfinite_statistic_fails_closed(self, reference_model, reference_process,
+                                              monkeypatch):
+        # a Scenario refuses a NaN learning rate, so one is set after the checks
+        sc = scenario(reference_model, reference_process, 30, (30,), delta=0.99)
+        monkeypatch.setattr(sc, "eta", math.nan)
         for which in ("prop1", "theorem1"):
             [rep] = analysis.monte_carlo_verify(sc, which, R=4, base_seed=10)
             assert rep["verdict"] == "fail"
@@ -197,10 +179,7 @@ class TestMonteCarlo:
 
     def test_log_zero_tv_is_not_a_failure(self, reference_model, reference_process):
         # at eta = 200 every belief is a point mass by step 300: TV underflows to 0
-        sc = analysis.Scenario(
-            model=reference_model, process=reference_process,
-            delta=0.1, horizon=300, checkpoints=(300,), learning_rate=200.0,
-        )
+        sc = scenario(reference_model, reference_process, 300, (300,), learning_rate=200.0)
         [rep] = analysis.monte_carlo_verify(sc, "prop1", R=4, base_seed=11)
         assert rep["trial_stats"]["max_statistic"] == -math.inf
         assert rep["trial_stats"]["nonfinite_statistics"] == 0
@@ -210,7 +189,7 @@ class TestMonteCarlo:
 class TestSimulateTrial:
     def test_shapes_and_ranges(self, reference_model, reference_process):
         tv_error, kl_increment, centralized_tv, _ = analysis.simulate_trials(
-            reference_model, reference_process, 1.0, 40, 11, [0])
+            scenario(reference_model, reference_process, 40), 11, [0])
         assert tv_error.shape == (1, 40, 4)
         assert np.all(tv_error >= 0) and np.all(tv_error <= 1)
         assert np.all(kl_increment >= 0)
@@ -218,13 +197,13 @@ class TestSimulateTrial:
 
     def test_connection_identity(self, reference_model, reference_process):
         *_, max_potential_gap = analysis.simulate_trials(
-            reference_model, reference_process, 1.0, 500, 12, [0])
+            scenario(reference_model, reference_process, 500), 12, [0])
         assert max_potential_gap <= 1e-8
 
     def test_e2_inequality_along_trajectory(self, reference_model, reference_process):
-        tv_error, *_ = analysis.simulate_trials(
-            reference_model, reference_process, 1.0, 300, 13, [0])
-        gaps = exp_gap_sums(reference_model, reference_process, 300, 13, [0])
+        sc = scenario(reference_model, reference_process, 300)
+        tv_error, *_ = analysis.simulate_trials(sc, 13, [0])
+        gaps = exp_gap_sums(sc, 13, [0])
         assert np.all(tv_error <= gaps + 1e-12)
 
 
@@ -239,14 +218,12 @@ class TestBatchedEngine:
         wide_model, wide_process = _wide_ring()
         for model, process, horizon, R in ((reference_model, reference_process, 70, 4),
                                            (wide_model, wide_process, 13, 8)):
-            sc = analysis.Scenario(model=model, process=process, delta=0.1, horizon=horizon,
-                                   checkpoints=(7, horizon), learning_rate="unit")
+            sc = scenario(model, process, horizon, (7, horizon))
 
             def records(trials):
-                *series, gap = analysis.simulate_trials(model, process, 1.0, horizon, 3,
-                                                        trials)
-                return (*series, analysis.theorem1_statistics(sc, 1.0, 3, trials),
-                        analysis.prop1_statistics(sc, 1.0, 3, trials)), gap
+                *series, gap = analysis.simulate_trials(sc, 3, trials)
+                return (*series, analysis.theorem1_statistics(sc, 3, trials),
+                        analysis.prop1_statistics(sc, 3, trials)), gap
 
             batch, gap = records(range(R))
             more, _ = records(range(R + 3))
@@ -265,7 +242,7 @@ class TestBatchedEngine:
         # a bound of one value leaves room for one step of one trial
         monkeypatch.setattr(analysis, "BLOCK_ELEMENTS", block_elements)
         calls = _count_advance_calls(monkeypatch)
-        analysis.simulate_trials(reference_model, reference_process, 1.0, 130, 3, range(4))
+        analysis.simulate_trials(scenario(reference_model, reference_process, 130), 3, range(4))
         assert math.ceil(130 / analysis.STEP_BLOCK) == 3
         steps = [64, 64, 2] if groups == 1 else [1] * 130
         assert calls == [(s, 4 // groups) for s in steps] * groups
@@ -279,9 +256,7 @@ class TestBatchedEngine:
         assert model.n * model.m == 600
         assert analysis.block_shape(model.n, model.m) == (6, 9)
         calls = _count_advance_calls(monkeypatch)
-        analysis.prop1_statistics(analysis.Scenario(
-            model=model, process=process, delta=0.1, horizon=20, checkpoints=(20,),
-            learning_rate="unit"), 1.0, 3, range(R))
+        analysis.prop1_statistics(scenario(model, process, 20, (20,)), 3, range(R))
         groups = [R] if R <= 9 else [9, R - 9]
         assert calls == [(s, g) for g in groups for s in (6, 6, 6, 2)]
         assert max(s * g for s, g in calls) * 600 <= analysis.BLOCK_ELEMENTS
@@ -294,22 +269,17 @@ class TestBatchedEngine:
         process = (network.gossip_process(*g) if kind == "gossip"
                    else network.fixed_process(network.metropolis_matrix(*g)))
         checkpoints = (10, 64, 65, 150)
-
-        def scenario(ts):
-            return analysis.Scenario(model=reference_model, process=process, horizon=150,
-                                     learning_rate="unit", delta=0.1, checkpoints=ts)
-
-        together = analysis.prop1_statistics(scenario(checkpoints), 1.0, 4, range(5))
+        together = analysis.prop1_statistics(
+            scenario(reference_model, process, 150, checkpoints), 4, range(5))
         assert together.shape == (5, 4) and np.isfinite(together).all()
         for c, t in enumerate(checkpoints):
-            alone = analysis.prop1_statistics(scenario((t,)), 1.0, 4, range(5))
+            alone = analysis.prop1_statistics(
+                scenario(reference_model, process, 150, (t,)), 4, range(5))
             assert np.array_equal(together[:, c], alone[:, 0]), t
 
     def test_unreached_checkpoint_fails_closed(self, reference_model, reference_process):
-        sc = analysis.Scenario(model=reference_model, process=reference_process,
-                               horizon=30, learning_rate="unit", delta=0.1,
-                               checkpoints=(0, 30))
-        stats = analysis.prop1_statistics(sc, 1.0, 4, range(3))
+        sc = scenario(reference_model, reference_process, 30, (0, 30))
+        stats = analysis.prop1_statistics(sc, 4, range(3))
         assert np.isnan(stats[:, 0]).all() and np.isfinite(stats[:, 1]).all()
 
 
@@ -402,12 +372,13 @@ def _check_against_oracle(model, process, horizon, trials, seed, agents=slice(No
     agent, and its TV errors, KL increments (at eta = 0.7) and closed-form
     potentials on the given agents, all to 1e-8."""
     eta = 0.7
-    blocks = list(analysis.potential_blocks(model, process, horizon, seed, range(trials)))
+    sc = scenario(model, process, horizon, learning_rate=eta)
+    blocks = list(analysis.potential_blocks(sc, horizon, seed, range(trials)))
     dec = np.concatenate([d for _, _, d, _ in blocks])   # T x R x n x m
     cen = np.concatenate([c for _, _, _, c in blocks])   # T x R x m
     assert dec.shape == (horizon, trials, model.n, model.m)
     tv_error, kl_increment, centralized_tv, _ = analysis.simulate_trials(
-        model, process, eta, horizon, seed, range(trials))
+        sc, seed, range(trials))
     truth = np.eye(model.m)[model.true_index]
     for r in range(trials):
         matrices, samples = _oracle_replay(model, process, horizon, seed, r)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -158,7 +159,7 @@ class TestSimulateCommand:
         cfg = load_config(path)
         assert cli.main(["simulate", str(path)]) == 0
         tv_error, kl_increment, centralized_tv, _ = analysis.simulate_trials(
-            cfg.model, cfg.process, 1000.0, cfg.horizon, cfg.seed, range(cfg.trials))
+            cfg, cfg.seed, range(cfg.trials))
         ref = io.StringIO(newline="")
         wr = csv.writer(ref)
         wr.writerow(["trial", "t", "agent", "tv_error", "log_tv_error",
@@ -188,7 +189,7 @@ class TestSimulateCommand:
         assert cfg.process.uniforms == 0
         assert cli.main(["simulate", str(path)]) == 0
         tv_error, kl_increment, centralized_tv, _ = analysis.simulate_trials(
-            cfg.model, cfg.process, 1.0, cfg.horizon, cfg.seed, range(cfg.trials))
+            cfg, cfg.seed, range(cfg.trials))
         with np.errstate(divide="ignore"):
             log_tv = np.log(tv_error)
         rows = [b"trial,t,agent,tv_error,log_tv_error,kl_increment,centralized_tv_error"]
@@ -509,6 +510,72 @@ def test_zero_gap_spectral_reports_sigma2_one(tmp_path):
     assert cli.main(["spectral", str(path)]) == 0
     doc = json.loads((tmp_path / "out" / "spectral.json").read_text())
     assert doc["sigma2"] == 1.0 and doc["spectral_gap"] == 0.0
+
+
+def _strict_json(path):
+    """The JSON document in `path`, refusing NaN and Infinity.
+
+    -Infinity stays allowed: it is the log of a TV error that underflowed to 0.
+    """
+    def refuse(constant):
+        if constant != "-Infinity":
+            raise ValueError(f"{constant} in {path.name}")
+        return -math.inf
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("eta, code", [(1.2e291, 0), (1.3e291, 2)])
+def test_learning_rate_refused_where_costs_could_overflow(tmp_path, capsys, eta, code):
+    # B = log 5 and T = 20, so 4 eta B T 2^50 passes the largest double at
+    # eta = 1.24e291: every command runs with finite numbers just below it
+    # and the config is refused just above it
+    path = write_config(tmp_path, {
+        "signal_model.agents": [[[0.8, 0.2], [0.2, 0.8]], [[0.5, 0.5]] * 2],
+        "network.graph": {"n": 2, "edges": [[0, 1]]},
+        "horizon": 20, "checkpoints": [20], "learning_rate": eta})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for command in (["simulate"], ["verify", "--which", "theorem1", "--trials", "100"],
+                        ["verify", "--which", "prop1"]):
+            assert cli.main([command[0], str(path), *command[1:]]) in (code, code + 1)
+            err = capsys.readouterr().err
+            assert (f"config invalid: learning_rate {eta!r} lets the KL costs overflow"
+                    in err) == (code == 2)
+    if code == 0:
+        for name in ("summary.json", "verify_theorem1.json", "verify_prop1.json"):
+            _strict_json(tmp_path / "out" / name)
+        csv_text = (tmp_path / "out" / "trajectories.csv").read_text()
+        assert "nan" not in csv_text and ",inf" not in csv_text
+    else:
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("trials, noted", [(1, True), (2, False)])
+def test_verify_names_a_check_that_cannot_fail(tmp_path, capsys, trials, noted):
+    # at delta = 0.1 the threshold delta + 3 sqrt(delta (1 - delta) / R) is
+    # 1 at R = 1, so no violation count fails it, and 0.74 at R = 2
+    path = write_config(tmp_path)
+    for which, label in (("prop1", "prop1 at t=40"), ("theorem1", "theorem1")):
+        assert cli.main(["verify", str(path), "--which", which, "--trials", str(trials)]) == 0
+        err = capsys.readouterr().err
+        assert (f"note: {label} cannot fail on its violations at {trials} trials" in err) == noted
+
+
+def test_reference_prop1_fails_an_engine_that_does_not_mix(tmp_path, monkeypatch):
+    # without mixing, each uninformative agent's belief stays uniform: log TV
+    # = log(2/3) on every trial, under the bound at t = 300 (+130.7) and
+    # above it at t = 11000 (-17.3)
+    path = next(p for p in SCENARIOS if p.stem == "reference_prop1")
+    argv = ["verify", str(path), "--which", "prop1", "--trials", "10", "--output-dir"]
+    assert cli.main([*argv, str(tmp_path / "mixing")]) == 0
+    monkeypatch.setattr(network.NetworkProcess, "advance",
+                        lambda self, phi, u, psi: np.cumsum(psi, axis=0) + phi)
+    assert cli.main([*argv, str(tmp_path / "no-mixing")]) == 1
+    report = json.loads((tmp_path / "no-mixing" / "verify_prop1.json").read_text())
+    assert report["verdict"] == "fail" and report["checkpoint"] == 11000
+    assert [(c["checkpoint"], c["verdict"]) for c in report["per_checkpoint"]] == [
+        (300, "pass"), (11000, "fail")]
+    assert report["trial_stats"]["max_statistic"] == pytest.approx(math.log(2 / 3))
 
 
 def ring_config(tmp_path, n):
