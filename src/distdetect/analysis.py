@@ -262,8 +262,9 @@ class Scenario:
     """A model, a network over the same agents and the settings of the bounds.
 
     Construction checks the network against the model (sizes, and A3 through
-    `sigma2` of E[W], kept as `w_bar`) and derives the other inputs of the
-    bounds once: `B`, the hardest false state `second_state`, its `rate`, `eta`.
+    `sigma2` of E[W], kept as `w_bar`, with the `rho` the mixing deviation reads)
+    and derives the other inputs of the bounds once: `B`, the hardest false
+    state `second_state`, its `rate`, `eta`.
     It refuses an eta at which the engine's costs could overflow.
     """
 
@@ -278,7 +279,7 @@ class Scenario:
         self.delta = delta
         self.checkpoints = checkpoints      # the t of the anytime bound
         self.w_bar = network.expected_matrix(process)
-        self.sigma2 = network.sigma2(self.w_bar)
+        self.sigma2, self.rho = network.sigma2(self.w_bar)
         self.B = signals.log_bound_B(model)
         self.second_state, self.rate = signals.second_state(model)
         if learning_rate == "theorem1":

@@ -113,7 +113,7 @@ def cmd_verify(cfg, args) -> int:
 def cmd_spectral(cfg, args) -> int:
     s2 = cfg.sigma2
     t_values = args.t_values if args.t_values else list(cfg.checkpoints)
-    deviation = network.mixing_deviation_sum(cfg.w_bar, t_values)
+    deviation = network.mixing_deviation_sum(cfg.w_bar, t_values, s2, cfg.rho)
     doc = {
         "config_digest": cfg.digest,
         "expected_matrix": cfg.w_bar.tolist(),

@@ -41,7 +41,8 @@ def initial_decentralized(n: int, m: int, eta: float) -> DecentralizedState:
 
 def log_marginal_matrix(model, sample) -> np.ndarray:
     """n x m matrix whose row i is (log l_i(s_i | theta_k))_k for agent i's symbol s_i."""
-    return np.stack([np.log(t[:, int(s)]) for t, s in zip(model.tables, sample)])
+    return np.stack([np.log(lik[:, :a][:, int(s)])
+                     for lik, a, s in zip(model.lik, model.alphabet, sample)])
 
 
 def draw_mixing(process, rng) -> np.ndarray:

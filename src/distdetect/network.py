@@ -22,7 +22,7 @@ SPECTRAL_FLOOR_N = 64
 
 
 def validate_mixing(entries) -> np.ndarray:
-    """Check nonnegativity, symmetry and unit row sums; return the array."""
+    """Check nonnegativity, symmetry and unit row sums where a matrix enters; return it."""
     w = np.asarray(entries, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise DistDetectError(f"mixing matrix must be square, got shape {w.shape}")
@@ -151,7 +151,7 @@ def metropolis_matrix(n: int, edges) -> np.ndarray:
     w = np.zeros((n, n))
     w[i, j] = w[j, i] = 1 / (1 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return validate_mixing(w)
+    return w
 
 
 def expected_matrix(p: NetworkProcess) -> np.ndarray:
@@ -178,21 +178,20 @@ def _centred_spectrum(w: np.ndarray):
     return float(eig[-1]), bool(unit.any()), float(np.abs(eig[~unit]).max(initial=0.0))
 
 
-def sigma2(w) -> float:
-    """Second-largest singular value: the spectral norm of W - (1/n) * ones * ones^T.
+def sigma2(w):
+    """(sigma2, rho) of a validated W, sigma2 its second-largest singular value.
 
-    For symmetric doubly stochastic W, the largest |eigenvalue| of the centred
-    matrix C. Raises DistDetectError unless W is connected (A3), that is unless
-    1 is a simple eigenvalue of W: no eigenvalue of C within MATRIX_TOL of 1.
-    One within MATRIX_TOL of -1 (a periodic W) gives exactly 1.
-    """
-    top, unit, rho = _centred_spectrum(validate_mixing(w))
+    sigma2 is the spectral norm of C = W - J/n: rho, the largest |eigenvalue| of
+    C not within MATRIX_TOL of -1, or exactly 1 if one is (a periodic W). Raises
+    DistDetectError unless W is connected (A3), that is unless 1 is a simple
+    eigenvalue of W: no eigenvalue of C within MATRIX_TOL of 1."""
+    top, unit, rho = _centred_spectrum(w)
     if top > 1 - MATRIX_TOL:
         raise DistDetectError("network is not connected in expectation (A3 violated)")
-    return 1.0 if unit else rho
+    return (1.0 if unit else rho), rho
 
 
-def mixing_deviation_sum(w, t_values) -> np.ndarray:
+def mixing_deviation_sum(w, t_values, sigma2_w: float, rho: float) -> np.ndarray:
     """sum_{tau=1}^{t} sum_j |[W^{t-tau}]_ij - 1/n| for every t in t_values and agent i.
 
     Returns a (len(t_values), n) array whose rows follow t_values, which may
@@ -201,10 +200,11 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
     running per-agent sum, read off at each requested t. C is symmetric, so
     C^s = U^s + R^s: U, its part on the eigenvalues +-1 (within MATRIX_TOL, the
     tolerance of `validate_mixing`), repeats with period 2, and row i of R^s
-    has l1 norm at most sqrt(n) rho^s, rho the spectral radius of R. From s = 2
-    the pass stops once sqrt(n) rho^(s-1) / (1 - rho) is below half an ulp of
-    every sum. The powers s+1, s+2, ... then add what C^(s-1), C^s, C^(s-1),
-    ... add, or nothing if U = 0, so any larger t is finished in closed form.
+    has l1 norm at most sqrt(n) rho^s, rho the spectral radius of R; for a
+    validated w, (sigma2_w, rho) is `sigma2(w)`, and U = 0 unless sigma2_w is 1.
+    From s = 2 the pass stops once sqrt(n) rho^(s-1) / (1 - rho) is below half
+    an ulp of every sum. The powers s+1, s+2, ... then add what C^(s-1), C^s,
+    C^(s-1), ... add, or nothing if U = 0, so any larger t is finished in closed form.
     Raises DistDetectError if the pass may need more than
     SPECTRAL_WORK_CAP / max(n, SPECTRAL_FLOOR_N)^3 products.
     """
@@ -212,12 +212,9 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
     for t in t_values:
         if not 1 <= t <= T_MAX:
             raise DistDetectError(f"t must lie in [1, {T_MAX}], got {t}")
-    w = validate_mixing(w)
     n = w.shape[0]
     wanted, rows = np.unique(t_values, return_inverse=True)
     snapshots = np.empty((len(wanted), n))
-    # t <= 2 reads at most C^1 and needs no eigenvalue of C
-    _, unit, rho = _centred_spectrum(w) if max(t_values, default=0) >= 3 else (0.0, False, 0.0)
     # every sum is >= 2(n-1)/n >= 1, whose half ulp is >= 2^-53: the rule holds by this s
     last = 2 + int(math.log(2**-53 * (1 - rho) / n**0.5) / math.log(rho)) if rho else 2
     products = min(max(t_values, default=1) - 1, last)
@@ -234,7 +231,7 @@ def mixing_deviation_sum(w, t_values) -> np.ndarray:
             total += increment
             stopped = s >= 2 and n**0.5 * rho ** (s - 1) / (1 - rho) < np.spacing(total.min()) / 2
         snapshots[k] = total
-        if stopped and unit:  # the powers s+1, s+2, ... alternate C^(s-1), C^s, ...
+        if stopped and sigma2_w == 1:  # the powers s+1, s+2, ... alternate C^(s-1), C^s, ...
             later = t - 1 - s
             snapshots[k] += (later + 1) // 2 * before + later // 2 * increment
     return snapshots[rows]

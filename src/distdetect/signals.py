@@ -18,18 +18,18 @@ EQUIV_TOL = 1e-12  # per-entry tolerance for observational equivalence
 class SignalModel:
     """Row k of tables[i] is l_i(.|theta_k); n, m and each alphabet size are read off them.
 
-    `lik` stacks the tables as one (n, m, A) array, A the largest alphabet:
-    symbols from `alphabet[i]` on are agent i's padding, with probability 1
-    under every state, so never drawn, of log 0 and telling no state apart.
+    They are held only as `lik`, one (n, m, A) array, A the largest alphabet:
+    agent i's is lik[i, :, :alphabet[i]], and its later symbols are padding of
+    probability 1 under every state, so never drawn, of log 0 and telling no state apart.
     """
 
     def __init__(self, tables, true_index: int = 0):
-        self.tables = tuple(np.asarray(t, dtype=float) for t in tables)
+        tables = [np.asarray(t, dtype=float) for t in tables]
         self.true_index = true_index
-        self.alphabet = _check_shapes(self.tables, true_index)
-        self.lik = np.ones((len(self.tables), self.tables[0].shape[0], self.alphabet.max()))
+        self.alphabet = _check_shapes(tables, true_index)
+        self.lik = np.ones((len(tables), tables[0].shape[0], self.alphabet.max()))
         self.n, self.m = self.lik.shape[:2]
-        for lik, t in zip(self.lik, self.tables):
+        for lik, t in zip(self.lik, tables):
             lik[:, :t.shape[1]] = t
         validate_model(self)
 
@@ -113,6 +113,6 @@ def sample_step(model, rng) -> np.ndarray:
     """One synchronous draw: each agent samples a symbol from its true-state row."""
     u = rng.random(model.n)
     out = np.empty(model.n, dtype=np.int64)
-    for i, t in enumerate(model.tables):
-        out[i] = np.searchsorted(np.cumsum(t[model.true_index]), u[i], side="right")
+    for i, (lik, a) in enumerate(zip(model.lik, model.alphabet)):
+        out[i] = np.searchsorted(np.cumsum(lik[model.true_index, :a]), u[i], side="right")
     return out

@@ -179,12 +179,12 @@ def test_criterion_5_asymptotic_rate(ref_model, ref_long_trajectories):
 
 def test_criterion_6_spectral_fixtures():
     path_w = network.metropolis_matrix(*path_graph(3))
-    s_path = network.sigma2(path_w)
+    s_path = network.sigma2(path_w)[0]
     assert s_path == pytest.approx(2 / 3, abs=1e-9)
-    s_proj = network.sigma2(np.full((5, 5), 0.2))
+    s_proj = network.sigma2(np.full((5, 5), 0.2))[0]
     assert s_proj == pytest.approx(0.0, abs=1e-10)
     gossip = network.gossip_process(*cycle_graph(3))
-    s_gossip = network.sigma2(network.expected_matrix(gossip))
+    s_gossip = network.sigma2(network.expected_matrix(gossip))[0]
     assert s_gossip == pytest.approx(0.5, abs=1e-9)
     _passline(6, f"spectral fixtures: {s_path:.12f}, {s_proj:.2e}, {s_gossip:.12f}")
 
@@ -197,9 +197,10 @@ def test_criterion_7_mixing_deviation_bound():
             graphs += [path_graph(n), cycle_graph(n)]
         for g in graphs:
             w = network.metropolis_matrix(*g)
-            limit = 4.0 * math.log(n) / (1.0 - network.sigma2(w))
+            s2, rho = network.sigma2(w)
+            limit = 4.0 * math.log(n) / (1.0 - s2)
             # cumulative deviation for every agent and every t = 1..1000
-            worst = network.mixing_deviation_sum(w, range(1, 1001)).max()
+            worst = network.mixing_deviation_sum(w, range(1, 1001), s2, rho).max()
             assert worst <= limit, f"deviation {worst:.3f} exceeds {limit:.3f} on n={n}"
             worst_margin = min(worst_margin, limit - worst)
     _passline(7, f"mixing-deviation bound holds on all fixtures (worst margin {worst_margin:.3f})")

@@ -363,7 +363,7 @@ def test_wide_model_matches_oracle():
     # the slow per-agent metrics are checked on every 7th agent
     model, process = _wide_ring()
     assert analysis.block_shape(model.n, model.m)[0] == 6
-    assert {t.shape[1] for t in model.tables} == {2, 3, 4}
+    assert set(model.alphabet.tolist()) == {2, 3, 4}
     _check_against_oracle(model, process, 70, 2, 5, agents=slice(None, None, 7))
 
 

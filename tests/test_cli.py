@@ -603,6 +603,36 @@ def test_spectral_validations_independent_of_n(tmp_path, monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_each_command_validates_and_solves_expected_network_once(tmp_path, monkeypatch):
+    # a matrix is validated where it enters (a listed matrix in its process,
+    # E[W] in expected_matrix) and E[W]'s spectrum is solved once, when the
+    # Scenario is built; (validations, eigen-solves) per command
+    calls = {"validate": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(network, "validate_mixing", counted("validate", network.validate_mixing))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+
+    def counts(argv):
+        calls.update(validate=0, eigvalsh=0)
+        assert cli.main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+        return calls["validate"], calls["eigvalsh"]
+
+    ring = str(ring_config(tmp_path, 256))
+    assert counts(["spectral", ring, "--t-values", "16"]) == (1, 1)
+    assert counts(["verify", ring, "--which", "prop1", "--trials", "2"]) == (1, 1)
+    # the Metropolis 8-cycle: its one matrix, then E[W] = that matrix
+    cycle = str(next(p for p in SCENARIOS if p.stem == "theorem1_8cycle"))
+    for argv in (["spectral", cycle], ["verify", cycle, "--which", "theorem1", "--trials", "1"],
+                 ["simulate", cycle, "--trials", "1"]):
+        validations, solves = counts(argv)
+        assert validations <= 2 and solves == 1, argv
+
+
 def run_python(args, timeout=120, **env):
     """Run a fresh interpreter with the package on its path and capture its output.
 

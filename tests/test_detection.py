@@ -30,7 +30,7 @@ class TestCentralized:
         # identifiable, but the engine itself must keep the belief flat
         from types import SimpleNamespace
 
-        stub = SimpleNamespace(tables=(np.array(UNINFORMATIVE_2),) * 2)
+        stub = SimpleNamespace(lik=np.array([UNINFORMATIVE_2] * 2), alphabet=np.array([2, 2]))
         state = detection.initial_centralized(2, eta=1.0)
         for _ in range(10):
             state = detection.centralized_step(state, [0, 1], stub)

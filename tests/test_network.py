@@ -237,12 +237,12 @@ class TestExpectedMatrix:
         w2 = pair_average_matrix(4, 2, 3)
         w3 = pair_average_matrix(4, 1, 2)
         p = network.finite_support_process([(w1, 0.4), (w2, 0.4), (w3, 0.2)])
-        assert network.sigma2(network.expected_matrix(p)) < 1
+        assert network.sigma2(network.expected_matrix(p))[0] < 1
 
 
 class TestSigma2:
     def test_uniform_projector_is_zero(self):
-        assert network.sigma2(np.full((5, 5), 0.2)) == pytest.approx(0.0, abs=1e-10)
+        assert network.sigma2(np.full((5, 5), 0.2))[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_identity_is_one(self):
         # C = I - J/n has the eigenvalue 1 with multiplicity n - 1, so the
@@ -255,7 +255,7 @@ class TestSigma2:
 
     def test_path3_metropolis(self, path3_matrix):
         # eigenvalues are {1, 2/3, 0}
-        assert network.sigma2(path3_matrix) == pytest.approx(2 / 3, abs=1e-9)
+        assert network.sigma2(path3_matrix)[0] == pytest.approx(2 / 3, abs=1e-9)
 
     def test_matches_svd_on_random_matrices(self):
         from conftest import random_mixing_matrix
@@ -265,7 +265,7 @@ class TestSigma2:
             n = int(rng.integers(2, 9))
             w = random_mixing_matrix(rng, n)
             ref = np.linalg.svd(w, compute_uv=False)[1]
-            assert network.sigma2(w) == pytest.approx(ref, abs=1e-9)
+            assert network.sigma2(w)[0] == pytest.approx(ref, abs=1e-9)
 
     @pytest.mark.parametrize("n", [16, 256])
     def test_gossip_ring_closed_form(self, n):
@@ -273,7 +273,7 @@ class TestSigma2:
         # the gap is written as 2 sin^2(pi/n)/n to avoid cancellation
         w = network.expected_matrix(network.gossip_process(*cycle_graph(n)))
         gap = 2.0 * math.sin(math.pi / n) ** 2 / n
-        assert 1.0 - network.sigma2(w) == pytest.approx(gap, rel=1e-9)
+        assert 1.0 - network.sigma2(w)[0] == pytest.approx(gap, rel=1e-9)
 
 
 def lazy_pair(eps):
@@ -295,11 +295,11 @@ class TestConnectivity:
 
     def test_gossip_connected_base(self):
         w = network.expected_matrix(network.gossip_process(*cycle_graph(6)))
-        assert 0 < network.sigma2(w) < 1
+        assert 0 < network.sigma2(w)[0] < 1
 
     def test_connected_implies_subunit_sigma2(self):
         for g in (cycle_graph(5), star_graph(7)):
-            assert network.sigma2(network.expected_matrix(network.gossip_process(*g))) < 1
+            assert network.sigma2(network.expected_matrix(network.gossip_process(*g)))[0] < 1
 
     def test_disjoint_pairs_disconnected(self):
         w = 0.5 * (pair_average_matrix(4, 0, 1) + pair_average_matrix(4, 2, 3))
@@ -314,24 +314,29 @@ class TestConnectivity:
     @pytest.mark.parametrize("eps", [8e-13, 5e-12])
     def test_lazy_pair_accepted_beyond_tolerance(self, eps):
         # the gap 2 eps decides, not whether the entries exceed 1e-12
-        assert network.sigma2(lazy_pair(eps)) == pytest.approx(1 - 2 * eps, abs=1e-15)
+        assert network.sigma2(lazy_pair(eps))[0] == pytest.approx(1 - 2 * eps, abs=1e-15)
 
     @pytest.mark.parametrize("eps, s2", [(2e-13, 1.0), (8e-13, 1 - 1.6e-12), (5e-12, 1 - 1e-11)])
     def test_near_swap_connected(self, eps, s2):
         # an eigenvalue near -1 leaves 1 simple: connected, however small eps
         # is; within the tolerance of -1 it counts as -1
-        assert network.sigma2(near_swap(eps)) == pytest.approx(s2, abs=1e-15)
+        assert network.sigma2(near_swap(eps))[0] == pytest.approx(s2, abs=1e-15)
 
     def test_near_swap_read_as_periodic_by_both_readers(self):
         # within the tolerance of -1, sigma2 and mixing_deviation_sum agree the
         # network is periodic: sigma2 is exactly 1 and the deviation sum of a
         # huge t is finished in closed form at once
         w = near_swap(2e-13)
-        assert network.sigma2(w) == 1.0
+        assert network.sigma2(w)[0] == 1.0
         start = time.perf_counter()
-        got = network.mixing_deviation_sum(w, [10**18])
+        got = deviation_sum(w, [10**18])
         assert time.perf_counter() - start < 1.0
         assert got.shape == (1, 2) and np.isfinite(got).all()
+
+
+def deviation_sum(w, t_values):
+    """`network.mixing_deviation_sum` of w, given the spectrum `network.sigma2` reads."""
+    return network.mixing_deviation_sum(w, t_values, *network.sigma2(w))
 
 
 def row_deviation_oracle(w, i, t):
@@ -379,38 +384,38 @@ class TestMixingDeviation:
     def test_uniform_projector(self):
         w = np.full((4, 4), 0.25)
         # only the power-zero term survives: sum_j |I_ij - 1/n| = 2(n-1)/n
-        assert network.mixing_deviation_sum(w, [1, 2, 10]) == pytest.approx(1.5)
+        assert deviation_sum(w, [1, 2, 10]) == pytest.approx(1.5)
 
     def test_t_equals_one(self, path3_matrix):
-        assert network.mixing_deviation_sum(path3_matrix, [1])[0, 1] == pytest.approx(4 / 3)
+        assert deviation_sum(path3_matrix, [1])[0, 1] == pytest.approx(4 / 3)
 
     def test_nondecreasing_in_t(self, path3_matrix):
-        vals = network.mixing_deviation_sum(path3_matrix, range(1, 30))[:, 0]
+        vals = deviation_sum(path3_matrix, range(1, 30))[:, 0]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_t_zero_rejected(self, path3_matrix):
         with pytest.raises(DistDetectError, match=r"t must lie in \[1, \d+\], got 0"):
-            network.mixing_deviation_sum(path3_matrix, [3, 0])
+            deviation_sum(path3_matrix, [3, 0])
 
     def test_empty_t_list(self, path3_matrix):
-        assert network.mixing_deviation_sum(path3_matrix, []).shape == (0, 3)
+        assert deviation_sum(path3_matrix, []).shape == (0, 3)
 
     def test_vertex_transitive_agents_agree_past_convergence(self):
         # every agent of a cycle sees the same deviations, so all sums agree
         # to the last ulp, however far past convergence t is
         w = network.metropolis_matrix(*cycle_graph(8))
-        got = network.mixing_deviation_sum(w, [10**3, 10**5])
+        got = deviation_sum(w, [10**3, 10**5])
         assert np.ptp(got, axis=1).max() <= np.spacing(got.max())
 
     def test_largest_t_returns_converged_sums(self):
         w = network.metropolis_matrix(*cycle_graph(8))
-        got = network.mixing_deviation_sum(w, [network.T_MAX, 10**4])
+        got = deviation_sum(w, [network.T_MAX, 10**4])
         assert np.array_equal(got[0], got[1])
 
     def test_periodic_network_never_converges(self):
         # the 2-agent swap has ||W - J/n||_2 = 1: each power adds 1 to each sum
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert network.mixing_deviation_sum(swap, [1000]).tolist() == [[1000.0, 1000.0]]
+        assert deviation_sum(swap, [1000]).tolist() == [[1000.0, 1000.0]]
 
     def test_periodic_network_sums_in_closed_form(self):
         # once the part of C^s off the eigenvalues +-1 is below the sums' half
@@ -420,11 +425,11 @@ class TestMixingDeviation:
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         ts = [network.T_MAX, 1, 2, 3, 4, 5, 1000]
         start = time.perf_counter()
-        got = network.mixing_deviation_sum(swap, ts)
+        got = deviation_sum(swap, ts)
         assert time.perf_counter() - start < 1.0
         assert got.tolist() == [[float(t)] * 2 for t in ts]
         half = 0.5 * np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
-        got = network.mixing_deviation_sum(half, ts)
+        got = deviation_sum(half, ts)
         assert got.tolist() == [[1.5 + (t - 1)] * 4 for t in ts]
 
     def test_periodic_cycle_matches_plain_summation(self):
@@ -432,7 +437,7 @@ class TestMixingDeviation:
         # repeat exactly; its sums are finished in closed form
         n = 32
         w = 0.5 * (np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1))
-        assert network.mixing_deviation_sum(w, [5000])[0] == pytest.approx(
+        assert deviation_sum(w, [5000])[0] == pytest.approx(
             plain_deviation_sum(w, 5000), rel=1e-12)
 
     @pytest.mark.parametrize("w", [
@@ -441,14 +446,14 @@ class TestMixingDeviation:
     ], ids=["metropolis-8-cycle", "gossip-4-cycle"])
     def test_shipped_networks_match_power_loop_exactly(self, w):
         # the loop stops only where every later term is below half an ulp
-        assert np.array_equal(network.mixing_deviation_sum(w, [20_000])[0],
+        assert np.array_equal(deviation_sum(w, [20_000])[0],
                               plain_deviation_sum(w, 20_000))
 
     @settings(max_examples=25, deadline=None)
     @given(deviation_cases())
     def test_matches_row_oracle(self, case):
         w, ts, agents = case
-        got = network.mixing_deviation_sum(w, ts)
+        got = deviation_sum(w, ts)
         assert got.shape == (len(ts), w.shape[0])
         for r, t in enumerate(ts):
             for i in agents:

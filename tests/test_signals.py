@@ -173,7 +173,7 @@ class TestLogMarginals:
 
     def test_bounded_by_B(self, reference_model):
         B = signals.log_bound_B(reference_model)
-        assert {t.shape[1] for t in reference_model.tables} == {2}
+        assert set(reference_model.alphabet.tolist()) == {2}
         for s in range(2):
             v = detection.log_marginal_matrix(reference_model, [s] * reference_model.n)
             assert np.all(np.abs(v) <= B + 1e-12)
@@ -260,6 +260,21 @@ class TestStackedModel:
         model = signals.SignalModel(tables, true)
         assert signals.log_bound_B(model) == max(float(np.abs(np.log(t)).max()) for t in tables)
         assert np.array_equal(signals.pairwise_rates(model), reference_rates(tables, true))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_tables())
+    def test_lik_holds_the_input_tables(self, case):
+        # lik is the model's one copy of the tables: each agent's own symbols
+        # hold its table bit for bit, and every padded entry is exactly 1
+        tables, true = case
+        if reference_message(tables, true) is not None:
+            return
+        model = signals.SignalModel(tables, true)
+        assert model.lik.shape == (len(tables), len(tables[0]), max(t.shape[1] for t in tables))
+        assert model.alphabet.tolist() == [t.shape[1] for t in tables]
+        for lik, a, t in zip(model.lik, model.alphabet, tables):
+            assert np.array_equal(lik[:, :a], t)
+            assert (lik[:, a:] == 1.0).all()
 
     @settings(max_examples=200, deadline=None)
     @given(mixed_tables(), st.data())
