@@ -182,8 +182,8 @@ def simulate_trials(sc, base_seed: int, trials):
     return tv, kl, ctv, float(max_gap)
 
 
-def theorem1_bound(B, I, m, n, delta, sigma2_w) -> dict:
-    """High-probability, time-independent bound on the cumulative KL cost.
+def theorem1_bound(sc) -> dict:
+    """High-probability, time-independent bound on the cumulative KL cost of Scenario `sc`.
 
     Returns the bound as its report object: {"total", "terms", "inputs", "notes"}.
 
@@ -191,7 +191,8 @@ def theorem1_bound(B, I, m, n, delta, sigma2_w) -> dict:
     the spectral gap 1 - sigma2(W): for these symmetric stochastic matrices
     lambda_max is identically 1, which would make the term degenerate.
     """
-    _check_bound_inputs(B=B, I=I, m=m, n=n, delta=delta, sigma2_w=sigma2_w)
+    B, I, m, n, delta, sigma2_w = sc.B, sc.rate, sc.model.m, sc.model.n, sc.delta, sc.sigma2
+    _check_sigma2(sigma2_w, "and the bounds divide by that gap")
     concentration = (18.0 * B**2 / I**2) * max(
         math.log(6.0 * m / delta), 3.0 * B * math.sqrt(2.0) / I
     )
@@ -214,21 +215,22 @@ def theorem1_learning_rate(B: float, n: int, sigma2_w: float) -> float:
     return (1.0 - sigma2_w) / (16.0 * B * math.log(n))
 
 
-def prop1_log_tv_bound(B, I, m, n, delta, sigma2_w, t, eta=1.0) -> dict:
+def prop1_log_tv_bound(sc, t) -> dict:
     """Anytime high-probability bound on log ||mu_{i,t} - e_true||_TV (natural log).
 
-    Returns the bound as `theorem1_bound` does, with empty notes.
+    Returns the bound of Scenario `sc` at step t as `theorem1_bound` does, with empty notes.
 
     The rate, fluctuation and network terms bound max_k (phi_k - phi_true), and
     TV <= sum_{k != true} exp(eta (phi_k - phi_true)), so they scale with eta.
     """
-    _check_bound_inputs(B=B, I=I, m=m, n=n, delta=delta, sigma2_w=sigma2_w)
+    B, I, m, n, delta, sigma2_w = sc.B, sc.rate, sc.model.m, sc.model.n, sc.delta, sc.sigma2
+    _check_sigma2(sigma2_w, "and the bounds divide by that gap")
     if t < 1:
         raise DistDetectError(f"t must be >= 1, got {t}")
     terms = {
-        "rate": -eta * I * t,
-        "fluctuation": eta * math.sqrt(2.0 * B**2 * t * math.log(m / delta)),
-        "network": eta * 8.0 * B * math.log(n) / (1.0 - sigma2_w),
+        "rate": -sc.eta * I * t,
+        "fluctuation": sc.eta * math.sqrt(2.0 * B**2 * t * math.log(m / delta)),
+        "network": sc.eta * 8.0 * B * math.log(n) / (1.0 - sigma2_w),
         "log_m": math.log(m),
     }
     return {
@@ -238,16 +240,6 @@ def prop1_log_tv_bound(B, I, m, n, delta, sigma2_w, t, eta=1.0) -> dict:
                    "sigma2": sigma2_w, "t": t},
         "notes": "",
     }
-
-
-def _check_bound_inputs(*, B, I, m, n, delta, sigma2_w):
-    if n < 2 or m < 2:
-        raise DistDetectError(f"need n >= 2 and m >= 2, got n={n}, m={m}")
-    if B <= 0 or I <= 0:
-        raise DistDetectError(f"need B > 0 and I > 0, got B={B}, I={I}")
-    if not 0 < delta < 1:
-        raise DistDetectError(f"delta must lie in (0, 1), got {delta}")
-    _check_sigma2(sigma2_w, "and the bounds divide by that gap")
 
 
 def _check_sigma2(sigma2_w, consequence: str):
@@ -264,8 +256,8 @@ class Scenario:
     Construction checks the network against the model (sizes, and A3 through
     `sigma2` of E[W], kept as `w_bar`, with the `rho` the mixing deviation reads)
     and derives the other inputs of the bounds once: `B`, the hardest false
-    state `second_state`, its `rate`, `eta`.
-    It refuses an eta at which the engine's costs could overflow.
+    state `second_state`, its `rate`, `eta`, and checks each but the spectral gap, which
+    only the bounds need; an eta at which the engine's costs could overflow is refused.
     """
 
     def __init__(self, model: signals.SignalModel, process: network.NetworkProcess,
@@ -273,6 +265,8 @@ class Scenario:
         if process.n != model.n:
             raise DistDetectError(f"network has n={process.n} agents "
                                   f"but signal model has n={model.n}")
+        if not 0 < delta < 1:
+            raise DistDetectError(f"delta must lie in (0, 1), got {delta}")
         self.model = model
         self.process = process
         self.horizon = horizon              # T of the cost bound and of `simulate`
@@ -282,9 +276,14 @@ class Scenario:
         self.sigma2, self.rho = network.sigma2(self.w_bar)
         self.B = signals.log_bound_B(model)
         self.second_state, self.rate = signals.second_state(model)
+        if not self.rate > 0:
+            raise DistDetectError(f"the hardest false state {self.second_state} has pairwise "
+                                  f"rate I = {self.rate!r}, but the bounds divide by I")
         if learning_rate == "theorem1":
             learning_rate = theorem1_learning_rate(self.B, model.n, self.sigma2)
-        self.eta = 1.0 if learning_rate == "unit" else float(learning_rate)
+        self.eta = eta = 1.0 if learning_rate == "unit" else float(learning_rate)
+        if not eta > 0:
+            raise DistDetectError(f"learning_rate must be 'unit', 'theorem1' or > 0, got {eta!r}")
         # |phi| <= B t, so a KL increment is at most 4 eta B t, a trial's cost at most
         # 4 eta B T^2 and a sum of R trials' costs, as R T <= ENGINE_WORK_CAP, at most this
         steps = max((horizon, *checkpoints))
@@ -334,19 +333,16 @@ def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list
         raise ConfigInvalid("prop1 verification needs at least one checkpoint")
     if R < 1:
         raise DistDetectError("need at least one trial")
-    B, I, s2, eta = sc.B, sc.rate, sc.sigma2, sc.eta
-    m, n, delta = sc.model.m, sc.model.n, sc.delta
     if which == "theorem1":
         checkpoints, horizon = [None], sc.horizon
-        bounds = [theorem1_bound(B, I, m, n, delta, s2)]
+        bounds = [theorem1_bound(sc)]
         statistics = theorem1_statistics(sc, base_seed, range(R))[:, None]
     else:
         checkpoints, horizon = sc.checkpoints, None
-        bounds = [prop1_log_tv_bound(B, I, m, n, delta, s2, t, eta=eta)
-                  for t in checkpoints]
+        bounds = [prop1_log_tv_bound(sc, t) for t in checkpoints]
         statistics = prop1_statistics(sc, base_seed, range(R))
 
-    slack = 3.0 * math.sqrt(delta * (1.0 - delta) / R)
+    slack = 3.0 * math.sqrt(sc.delta * (1.0 - sc.delta) / R)
     reports = []
     for t, bound, stats in zip(checkpoints, bounds, statistics.T):
         broken = np.isnan(stats) | (stats == np.inf)
@@ -355,11 +351,11 @@ def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list
         finite = stats[np.isfinite(stats)]
         reports.append({
             "which": which, "trials": R, "violations": violations, "violation_rate": rate,
-            "delta": delta, "slack": slack, "bound": bound,
+            "delta": sc.delta, "slack": slack, "bound": bound,
             "seed": base_seed, "checkpoint": t, "horizon": horizon,
-            "verdict": "pass" if rate <= delta + slack and not broken.any() else "fail",
+            "verdict": "pass" if rate <= sc.delta + slack and not broken.any() else "fail",
             "trial_stats": {
-                "eta": eta,
+                "eta": sc.eta,
                 "max_statistic": float(np.max(stats)),
                 "mean_finite_statistic":
                     float(np.mean(finite)) if finite.size else float("-inf"),

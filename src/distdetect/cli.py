@@ -101,6 +101,13 @@ def cmd_verify(cfg, args) -> int:
         if 1.0 <= doc["delta"] + doc["slack"]:
             print(f"note: {label} cannot fail on its violations at {doc['trials']} trials: "
                   f"a rate of 1 is within its threshold", file=sys.stderr)
+    if which == "theorem1":  # its bound has checked that sigma2 < 1
+        outside = ["a random network"] if cfg.process.uniforms else []
+        if cfg.eta != analysis.theorem1_learning_rate(cfg.B, cfg.model.n, cfg.sigma2):
+            outside.append(f"eta = {cfg.eta!r}, not the theorem's learning rate")
+        if outside:
+            print(f"note: theorem1 runs outside Theorem 1, which bounds the cost on a fixed "
+                  f"network at its learning rate: {' and '.join(outside)}", file=sys.stderr)
     # the report is that of the first failing checkpoint, else of the last one,
     # so its verdict is the overall one; with several it lists them all
     doc = next((d for d in docs if d["verdict"] == "fail"), docs[-1])

@@ -112,7 +112,6 @@ def second_state(model):
 def sample_step(model, rng) -> np.ndarray:
     """One synchronous draw: each agent samples a symbol from its true-state row."""
     u = rng.random(model.n)
-    out = np.empty(model.n, dtype=np.int64)
-    for i, (lik, a) in enumerate(zip(model.lik, model.alphabet)):
-        out[i] = np.searchsorted(np.cumsum(lik[model.true_index, :a]), u[i], side="right")
-    return out
+    # the last symbol takes every u past the others: a CDF may end short of 1 by rounding
+    return np.array([np.searchsorted(np.cumsum(lik[model.true_index, :a - 1]), x, side="right")
+                     for lik, a, x in zip(model.lik, model.alphabet, u)])

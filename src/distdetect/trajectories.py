@@ -100,9 +100,6 @@ def _format17(x, sep):
 def write(f, tv, kl, ctv):
     """Write the CSV of the (trials, T, n) arrays tv and kl and the (trials, T) ctv to f."""
     trials, T, n = tv.shape
-    with np.errstate(divide="ignore"):
-        log_tv = np.log(tv)
-    per_agent = (tv.ravel(), log_tv.ravel(), kl.ravel())
     # trial, t and agent: each value and a comma, as rows of NUL-padded words
     ints = [np.array([b"%d," % v for v in r]) for r in (range(trials), range(1, T + 1), range(n))]
     ints = [t.astype(f"S{-(-t.itemsize // 8) * 8}").view("<u8").reshape(len(t), -1) for t in ints]
@@ -112,9 +109,12 @@ def write(f, tv, kl, ctv):
         s0 = q0 // n  # flat (trial, step) index of the chunk's first row
         # formatted once per (trial, step), not once per agent
         centralized = _format17(ctv.ravel()[s0:q[-1] // n + 1], b"\r\n")
+        chunk = tv.ravel()[q0:q0 + len(q)]
+        with np.errstate(divide="ignore"):  # log TV per chunk: no run-sized copy of it
+            per_agent = (chunk, np.log(chunk), kl.ravel()[q0:q0 + len(q)])
         words = np.concatenate(
             [w[i] for w, i in zip(ints, (q // (T * n), q // n % T, q % n))]
-            + [_format17(c[q0:q0 + len(q)], b",") for c in per_agent]
+            + [_format17(c, b",") for c in per_agent]
             + [centralized[q // n - s0]], axis=1)
         text = words.astype("<u8", copy=False).view(np.uint8)
         f.write(text[text != 0].tobytes())

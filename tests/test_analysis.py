@@ -2,6 +2,7 @@ import ast
 import math
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,47 +11,65 @@ from hypothesis import given, settings, strategies as st
 from distdetect import analysis, detection, network, prob, signals
 from distdetect.errors import DistDetectError
 
-from conftest import cycle_graph, exp_gap_sums, random_mixing_matrix, rate_slope, scenario
+from conftest import (UNINFORMATIVE_2, cycle_graph, exp_gap_sums, random_mixing_matrix, rate_slope,
+                      scenario)
+
+
+def bound_scenario(B, I, m, n, delta, sigma2_w, eta=1.0):
+    """A stand-in for a checked `analysis.Scenario`, holding only what the bounds read."""
+    return SimpleNamespace(B=B, rate=I, model=SimpleNamespace(m=m, n=n), delta=delta,
+                           sigma2=sigma2_w, eta=eta)
 
 
 class TestTheorem1Bound:
     def test_hand_arithmetic(self):
-        rep = analysis.theorem1_bound(B=1, I=0.5, m=2, n=4, delta=0.1, sigma2_w=0.5)
+        rep = analysis.theorem1_bound(
+            bound_scenario(B=1, I=0.5, m=2, n=4, delta=0.1, sigma2_w=0.5))
         assert rep["terms"]["concentration"] == pytest.approx(610.9402589451771)
         assert rep["terms"]["network"] == pytest.approx(716.8309920146273)
         assert rep["total"] == pytest.approx(1327.7712509598045)
 
     def test_total_is_sum_of_terms(self):
-        rep = analysis.theorem1_bound(B=2, I=0.2, m=5, n=10, delta=0.05, sigma2_w=0.8)
+        rep = analysis.theorem1_bound(
+            bound_scenario(B=2, I=0.2, m=5, n=10, delta=0.05, sigma2_w=0.8))
         assert rep["total"] == pytest.approx(sum(rep["terms"].values()), abs=1e-12)
 
     def test_larger_rate_shrinks_bound_in_kl_regime(self):
         # stay in the regime where the max picks the 1/I branch
-        lo = analysis.theorem1_bound(B=1, I=0.4, m=2, n=4, delta=0.1, sigma2_w=0.5)
-        hi = analysis.theorem1_bound(B=1, I=0.8, m=2, n=4, delta=0.1, sigma2_w=0.5)
+        lo = analysis.theorem1_bound(bound_scenario(B=1, I=0.4, m=2, n=4, delta=0.1, sigma2_w=0.5))
+        hi = analysis.theorem1_bound(bound_scenario(B=1, I=0.8, m=2, n=4, delta=0.1, sigma2_w=0.5))
         assert hi["total"] < lo["total"]
         assert hi["terms"]["concentration"] < lo["terms"]["concentration"]
         assert hi["terms"]["network"] < lo["terms"]["network"]
 
     def test_shrinking_delta_blows_up(self):
         vals = [
-            analysis.theorem1_bound(B=1, I=1.0, m=2, n=4, delta=d, sigma2_w=0.5)["total"]
+            analysis.theorem1_bound(
+                bound_scenario(B=1, I=1.0, m=2, n=4, delta=d, sigma2_w=0.5))["total"]
             for d in (1e-2, 1e-6, 1e-12)
         ]
         assert vals[0] < vals[1] < vals[2]
 
     def test_monotone_in_spectral_gap(self):
         totals = [
-            analysis.theorem1_bound(B=1, I=0.5, m=2, n=4, delta=0.1, sigma2_w=s)["total"]
+            analysis.theorem1_bound(
+                bound_scenario(B=1, I=0.5, m=2, n=4, delta=0.1, sigma2_w=s))["total"]
             for s in (0.2, 0.5, 0.9)
         ]
         assert totals[0] < totals[1] < totals[2]
 
     def test_degenerate_inputs(self):
         with pytest.raises(DistDetectError, match=r"sigma2 must lie in \[0, 1\), got 1.0"):
-            analysis.theorem1_bound(B=1, I=0.5, m=2, n=4, delta=0.1, sigma2_w=1.0)
-        with pytest.raises(DistDetectError, match="need B > 0 and I > 0, got B=1, I=0.0"):
-            analysis.theorem1_bound(B=1, I=0.0, m=2, n=4, delta=0.1, sigma2_w=0.5)
+            analysis.theorem1_bound(bound_scenario(B=1, I=0.5, m=2, n=4, delta=0.1, sigma2_w=1.0))
+
+    def test_zero_rate_refused_by_the_scenario(self):
+        # the rows of agent 0 differ by 2e-12, so the rate computes to exactly 0
+        model = signals.SignalModel([[[0.05, 0.95], [0.050000000002, 0.949999999998]],
+                                     [[0.5, 0.5], [0.5, 0.5]]])
+        assert signals.second_state(model) == (1, 0.0)
+        with pytest.raises(DistDetectError,
+                           match=r"hardest false state 1 has pairwise rate I = 0\.0"):
+            scenario(model, network.gossip_process(2, [(0, 1)]), 5)
 
 
 class TestLearningRate:
@@ -73,7 +92,7 @@ class TestLearningRate:
 class TestProp1Bound:
     def test_hand_arithmetic(self):
         rep = analysis.prop1_log_tv_bound(
-            B=1, I=0.1, m=2, n=2, delta=0.1, sigma2_w=0.0, t=100
+            bound_scenario(B=1, I=0.1, m=2, n=2, delta=0.1, sigma2_w=0.0), 100
         )
         assert rep["terms"]["rate"] == pytest.approx(-10.0)
         assert rep["terms"]["fluctuation"] == pytest.approx(24.477468306808163)
@@ -83,16 +102,16 @@ class TestProp1Bound:
 
     def test_total_is_sum_of_terms(self):
         rep = analysis.prop1_log_tv_bound(
-            B=1.6, I=0.05, m=3, n=4, delta=0.1, sigma2_w=0.75, t=300
+            bound_scenario(B=1.6, I=0.05, m=3, n=4, delta=0.1, sigma2_w=0.75), 300
         )
         assert rep["total"] == pytest.approx(sum(rep["terms"].values()), abs=1e-12)
 
     def test_asymptotic_slope_is_minus_I(self):
         I = 0.37
-        args = dict(B=1, I=I, m=3, n=4, delta=0.1, sigma2_w=0.5)
+        sc = bound_scenario(B=1, I=I, m=3, n=4, delta=0.1, sigma2_w=0.5)
         diffs = [
-            analysis.prop1_log_tv_bound(**args, t=t + 1)["total"]
-            - analysis.prop1_log_tv_bound(**args, t=t)["total"]
+            analysis.prop1_log_tv_bound(sc, t + 1)["total"]
+            - analysis.prop1_log_tv_bound(sc, t)["total"]
             for t in (10**3, 10**5, 10**7)
         ]
         assert diffs[-1] == pytest.approx(-I, abs=1e-3)
@@ -101,13 +120,14 @@ class TestProp1Bound:
 
     def test_rejects_bad_t(self):
         with pytest.raises(DistDetectError, match="t must be >= 1, got 0"):
-            analysis.prop1_log_tv_bound(B=1, I=0.1, m=2, n=2, delta=0.1, sigma2_w=0.0, t=0)
+            analysis.prop1_log_tv_bound(
+                bound_scenario(B=1, I=0.1, m=2, n=2, delta=0.1, sigma2_w=0.0), 0)
 
     def test_potential_gap_terms_scale_with_eta(self):
         # log TV <= log m + eta * (bound on the potential gap)
-        args = dict(B=1.6, I=0.05, m=3, n=4, delta=0.1, sigma2_w=0.75, t=300)
-        unit = analysis.prop1_log_tv_bound(**args)
-        half = analysis.prop1_log_tv_bound(**args, eta=0.5)
+        args = dict(B=1.6, I=0.05, m=3, n=4, delta=0.1, sigma2_w=0.75)
+        unit = analysis.prop1_log_tv_bound(bound_scenario(**args), 300)
+        half = analysis.prop1_log_tv_bound(bound_scenario(**args, eta=0.5), 300)
         for name in ("rate", "fluctuation", "network"):
             assert half["terms"][name] == 0.5 * unit["terms"][name]
         assert half["terms"]["log_m"] == unit["terms"]["log_m"] == math.log(3)
@@ -365,6 +385,27 @@ def test_wide_model_matches_oracle():
     assert analysis.block_shape(model.n, model.m)[0] == 6
     assert set(model.alphabet.tolist()) == {2, 3, 4}
     _check_against_oracle(model, process, 70, 2, 5, agents=slice(None, None, 7))
+
+
+class _LastUniform:
+    """A generator stand-in whose every uniform is 1 - 2^-53, the largest `random()` value."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+def test_last_uniform_draws_the_last_symbol_in_both_engines(monkeypatch):
+    # agent 0's true-state CDF ends at 1 - 2^-53, a rounding error short of 1,
+    # so the last uniform lies on its last entry and must draw symbol 9
+    model = signals.SignalModel([[[0.1] * 10, [0.19] * 5 + [0.01] * 5], UNINFORMATIVE_2])
+    assert np.cumsum(model.lik[0, 0])[-1] == 1.0 - 2.0**-53
+    process = network.fixed_process(np.full((2, 2), 0.5))
+    monkeypatch.setattr(analysis, "trial_rng", lambda base_seed, trial: _LastUniform())
+    [(_, _, dec, _)] = analysis.potential_blocks(scenario(model, process, 1), 1, 0, range(1))
+    [w], [sample] = _oracle_replay(model, process, 1, 0, 0)
+    assert sample.tolist() == [9, 1]
+    d = detection.decentralized_step(detection.initial_decentralized(2, 2, 1.0), w, sample, model)
+    np.testing.assert_array_equal(dec[0, 0], d.phi)
 
 
 def _check_against_oracle(model, process, horizon, trials, seed, agents=slice(None)):

@@ -550,6 +550,52 @@ def test_learning_rate_refused_where_costs_could_overflow(tmp_path, capsys, eta,
         assert not (tmp_path / "out").exists()
 
 
+# agent 0's rows differ by 2e-12, so the pairwise rate computes to exactly 0
+ZERO_RATE = {"signal_model.agents": [[[0.05, 0.95], [0.050000000002, 0.949999999998]],
+                                     [[0.5, 0.5]] * 2],
+             "network.graph": {"n": 2, "edges": [[0, 1]]}}
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["spectral"], ["verify", "--which", "theorem1"],
+    ["verify", "--which", "prop1"],
+], ids=lambda c: c[-1])
+def test_zero_rate_refused_at_load_by_every_command(tmp_path, capsys, command):
+    path = write_config(tmp_path, ZERO_RATE)
+    assert cli.main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config invalid: the hardest false state 1 has pairwise rate I = 0.0")
+    assert not (tmp_path / "out").exists()
+
+
+THEOREM1_SCOPE = "note: theorem1 runs outside Theorem 1"
+
+
+@pytest.mark.parametrize("overrides, outside", [
+    ({}, "a random network and eta = 1.0, not the theorem's learning rate"),
+    ({"learning_rate": "theorem1"}, "a random network"),
+    ({"network": {"kind": "fixed", "matrix": RING4}},
+     "eta = 1.0, not the theorem's learning rate"),
+    ({"network": {"kind": "fixed", "matrix": RING4}, "learning_rate": "theorem1"}, None),
+], ids=["gossip-unit", "gossip-theorem1", "fixed-unit", "fixed-theorem1"])
+def test_verify_names_a_theorem1_check_outside_the_theorem(tmp_path, capsys, overrides,
+                                                           outside):
+    path = write_config(tmp_path, overrides)
+    for which in ("theorem1", "prop1"):
+        assert cli.main(["verify", str(path), "--which", which]) == 0
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if THEOREM1_SCOPE in ln]
+        assert lines == ([f"{THEOREM1_SCOPE}, which bounds the cost on a fixed network at its "
+                          f"learning rate: {outside}"] if which == "theorem1" and outside else [])
+
+
+def test_shipped_theorem1_check_is_inside_the_theorem(tmp_path, capsys):
+    # perfbench's theorem1-fixed8 workload runs this config at seed 7
+    path = next(p for p in SCENARIOS if p.stem == "theorem1_8cycle")
+    assert cli.main(["verify", str(path), "--which", "theorem1", "--trials", "2", "--seed", "7",
+                     "--output-dir", str(tmp_path)]) == 0
+    assert THEOREM1_SCOPE not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials, noted", [(1, True), (2, False)])
 def test_verify_names_a_check_that_cannot_fail(tmp_path, capsys, trials, noted):
     # at delta = 0.1 the threshold delta + 3 sqrt(delta (1 - delta) / R) is
