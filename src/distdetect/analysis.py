@@ -9,7 +9,6 @@ delta plus three standard errors.
 
 import functools
 import math
-import sys
 
 import numpy as np
 
@@ -66,13 +65,20 @@ def potential_blocks(sc, horizon: int, base_seed: int, trials, centralized: bool
     process's k = `uniforms` first, then one per agent, turned into its
     signal by inverse CDF, as `detection.draw_mixing` then
     `signals.sample_step` would. Group and block sizes change neither the
-    stream nor the arithmetic of any trial. Raises DistDetectError if trials x
-    horizon x n x m is above ENGINE_WORK_CAP.
+    stream nor the arithmetic of any trial. Raises DistDetectError when called,
+    before any block is drawn, if trials x horizon x n x m is above ENGINE_WORK_CAP.
     """
-    model, n, m = sc.model, sc.model.n, sc.model.m
+    n, m = sc.model.n, sc.model.m
     if len(trials) * horizon * n * m > ENGINE_WORK_CAP:
-        raise DistDetectError(f"{len(trials)} trials x horizon {horizon} x n {n} x m {m} is "
-                              f"above ENGINE_WORK_CAP = 2^50 (prop1's horizon: last checkpoint)")
+        raise DistDetectError(
+            f"trials x horizon x n x m = {len(trials)} x {horizon} x {n} x {m} is above "
+            f"ENGINE_WORK_CAP = 2^50 (prop1's horizon: last checkpoint)")
+    return _blocks(sc, horizon, base_seed, trials, centralized)
+
+
+def _blocks(sc, horizon, base_seed, trials, centralized):
+    """The generator of `potential_blocks`, once its work is checked."""
+    model, n, m = sc.model, sc.model.n, sc.model.m
     k, width = sc.process.uniforms, model.lik.shape[2]
     # true-state CDFs, +inf from each agent's last symbol on, where a draw stops
     cdf = np.where(np.arange(width) < model.alphabet[:, None] - 1,
@@ -140,24 +146,16 @@ def _tv_error(mu, true: int):
     return np.minimum(_false_mass(mu, true), 1.0)
 
 
-def _per_trial(trials, axes: dict, fill=None) -> np.ndarray:
-    """A float array of shape (len(trials), *axes.values()), filled with `fill` if given.
-
-    Raises DistDetectError naming the trial count and the named axes when
-    the array cannot be held.
+def _log_tv_error(phi, eta, true: int):
+    """log TV of the beliefs exp(eta phi) to the truth, finite wherever phi is: with L the
+    log-sum-exp of the false exponents less the true one, it is -log(1 + e^-L) <= 0.
     """
-    try:
-        R = len(trials)
-    except OverflowError as exc:  # a range longer than a C size
-        raise DistDetectError(
-            f"{trials!r} has more than {sys.maxsize} trials, too many to hold") from exc
-    shape = (R, *axes.values())
-    try:
-        return np.empty(shape) if fill is None else np.full(shape, fill)
-    except (ValueError, MemoryError) as exc:  # ValueError: beyond numpy's largest shape
-        raise DistDetectError(
-            f"an array of trials x {' x '.join(axes)} = {' x '.join(map(str, shape))} "
-            f"values is too large to hold: {exc}") from exc
+    z = _columns(eta * phi)
+    # each false exponent less the true one first: exact for close exponents
+    gaps = [col - z[true] for k, col in enumerate(z) if k != true]
+    top = functools.reduce(np.maximum, gaps)
+    L = np.log(sum(np.exp(gap - top) for gap in gaps)) + top
+    return np.minimum(L, 0) - np.log1p(np.exp(-np.abs(L)))
 
 
 def simulate_trials(sc, base_seed: int, trials):
@@ -167,11 +165,11 @@ def simulate_trials(sc, base_seed: int, trials):
     R x T x n arrays, one R x T array and the largest gap over all trials and steps.
     """
     n, true, horizon = sc.model.n, sc.model.true_index, sc.horizon
-    series, per_step = {"horizon": horizon, "n": n}, {"horizon": horizon}
-    tv, kl = _per_trial(trials, series), _per_trial(trials, series)
-    ctv = _per_trial(trials, per_step)
+    blocks = potential_blocks(sc, horizon, base_seed, trials)  # checks the work first
+    tv, kl = np.empty((len(trials), horizon, n)), np.empty((len(trials), horizon, n))
+    ctv = np.empty((len(trials), horizon))
     max_gap = 0.0
-    for rows, t0, dec, cen in potential_blocks(sc, horizon, base_seed, trials):
+    for rows, t0, dec, cen in blocks:
         steps = slice(t0, t0 + len(dec))
         inc, mu, mu_c = _kl_to_centralized(dec, cen, sc.eta)
         kl[rows, steps] = inc.swapaxes(0, 1)
@@ -197,12 +195,8 @@ def theorem1_bound(sc) -> dict:
         math.log(6.0 * m / delta), 3.0 * B * math.sqrt(2.0) / I
     )
     net = (48.0 * B * math.log(n) / I) * (math.log(m) + 2.0) / (1.0 - sigma2_w)
-    return {
-        "total": concentration + net,
-        "terms": {"concentration": concentration, "network": net},
-        "inputs": {"B": B, "I": I, "m": m, "n": n, "delta": delta, "sigma2": sigma2_w},
-        "notes": "network denominator evaluated as spectral gap 1 - sigma2(W)",
-    }
+    return _bound(sc, {"concentration": concentration, "network": net},
+                  "network denominator evaluated as spectral gap 1 - sigma2(W)")
 
 
 def theorem1_learning_rate(B: float, n: int, sigma2_w: float) -> float:
@@ -233,13 +227,14 @@ def prop1_log_tv_bound(sc, t) -> dict:
         "network": sc.eta * 8.0 * B * math.log(n) / (1.0 - sigma2_w),
         "log_m": math.log(m),
     }
-    return {
-        "total": sum(terms.values()),
-        "terms": terms,
-        "inputs": {"B": B, "I": I, "m": m, "n": n, "delta": delta,
-                   "sigma2": sigma2_w, "t": t},
-        "notes": "",
-    }
+    return _bound(sc, terms, "", t=t)
+
+
+def _bound(sc, terms: dict, notes: str, **inputs) -> dict:
+    """A bound's report object: the sum of its terms, the terms, its inputs and notes."""
+    inputs = {"B": sc.B, "I": sc.rate, "m": sc.model.m, "n": sc.model.n, "delta": sc.delta,
+              "sigma2": sc.sigma2, **inputs}
+    return {"total": sum(terms.values()), "terms": terms, "inputs": inputs, "notes": notes}
 
 
 def _check_sigma2(sigma2_w, consequence: str):
@@ -295,24 +290,23 @@ class Scenario:
 
 def theorem1_statistics(sc: Scenario, base_seed, trials) -> np.ndarray:
     """Per trial, the largest cumulative KL cost over agents at horizon T."""
-    cost = _per_trial(trials, {"n": sc.model.n}, fill=0.0)
-    for rows, _, dec, cen in potential_blocks(sc, sc.horizon, base_seed, trials):
+    blocks = potential_blocks(sc, sc.horizon, base_seed, trials)
+    cost = np.zeros((len(trials), sc.model.n))
+    for rows, _, dec, cen in blocks:
         cost[rows] += _kl_to_centralized(dec, cen, sc.eta)[0].sum(axis=0)
     return cost.max(axis=1)
 
 
 def prop1_statistics(sc: Scenario, base_seed, trials) -> np.ndarray:
     """Per trial and checkpoint, the largest log TV error over agents: (R, C)."""
-    true = sc.model.true_index
+    blocks = potential_blocks(sc, max(sc.checkpoints), base_seed, trials, centralized=False)
     # NaN until its checkpoint is reached, so an unreached one fails closed
-    stats = _per_trial(trials, {"checkpoints": len(sc.checkpoints)}, fill=np.nan)
-    for rows, t0, dec, _ in potential_blocks(sc, max(sc.checkpoints), base_seed, trials,
-                                             centralized=False):
+    stats = np.full((len(trials), len(sc.checkpoints)), np.nan)
+    for rows, t0, dec, _ in blocks:
         for c, t in enumerate(sc.checkpoints):
             if t0 < t <= t0 + len(dec):
-                tv = _tv_error(_beliefs(dec[t - t0 - 1], sc.eta)[2], true)
-                with np.errstate(divide="ignore"):
-                    stats[rows, c] = np.log(tv).max(axis=1)  # log(0) = -inf is fine
+                log_tv = _log_tv_error(dec[t - t0 - 1], sc.eta, sc.model.true_index)
+                stats[rows, c] = log_tv.max(axis=1)
     return stats
 
 
@@ -322,10 +316,8 @@ def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list
     Returns one report dict for theorem1 (at the horizon) and one per
     checkpoint for prop1, all from one engine run. Each report names its
     `seed`, its `checkpoint` (None for theorem1) and its `horizon` (None for
-    prop1, which runs only to its last checkpoint). Fails closed: a NaN or
-    +inf statistic counts as a violation and fails the verdict outright.
-    Only -inf, the log of a TV error that underflowed to 0, is a legitimate
-    non-finite statistic.
+    prop1, which runs only to its last checkpoint). Fails closed: a
+    non-finite statistic counts as a violation and fails the verdict outright.
     """
     if which not in ("theorem1", "prop1"):
         raise DistDetectError(f"unknown verification target {which!r}")
@@ -345,10 +337,10 @@ def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list
     slack = 3.0 * math.sqrt(sc.delta * (1.0 - sc.delta) / R)
     reports = []
     for t, bound, stats in zip(checkpoints, bounds, statistics.T):
-        broken = np.isnan(stats) | (stats == np.inf)
+        broken = ~np.isfinite(stats)
         violations = int(np.count_nonzero(broken | (stats > bound["total"])))
         rate = violations / R
-        finite = stats[np.isfinite(stats)]
+        finite = stats[~broken]
         reports.append({
             "which": which, "trials": R, "violations": violations, "violation_rate": rate,
             "delta": sc.delta, "slack": slack, "bound": bound,

@@ -26,16 +26,14 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import analysis, network
-from .config import load_config
+from .config import _whole, load_config
 from .errors import ConfigInvalid, DistDetectError
 
 
 def _resolve(cfg, args):
-    for flag, value, least in (("--seed", args.seed, 0), ("--trials", args.trials, 1)):
-        if value is not None and value < least:
-            raise ConfigInvalid(f"{flag} must be >= {least}, got {value}")
-    seed = args.seed if args.seed is not None else cfg.seed
-    trials = args.trials if args.trials is not None else cfg.trials
+    seed = cfg.seed if args.seed is None else _whole(args.seed, "--seed", 0)
+    trials = (cfg.trials if args.trials is None
+              else _whole(args.trials, "--trials", 1, analysis.ENGINE_WORK_CAP))
     return seed, trials
 
 
@@ -169,6 +167,9 @@ def main(argv=None) -> int:
     except DistDetectError as exc:
         kind = "config invalid" if isinstance(exc, ConfigInvalid) else "error"
         print(f"{kind}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the size and the shape
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -129,7 +129,8 @@ def _build_config(raw) -> ScenarioConfig:
                                 _whole(spec.get("true_state", 0), "true_state", 0))
     process = _build_process(raw["network"], model.n)
     horizon = _whole(raw.get("horizon", 1), "horizon", 1, network.T_MAX)
-    trials = _whole(raw.get("trials", 1), "trials", 1)
+    # a run costs the engine at least trials x 1 x 2 x 2, so no more trials can run
+    trials = _whole(raw.get("trials", 1), "trials", 1, analysis.ENGINE_WORK_CAP)
     seed = _whole(raw.get("seed", 0), "seed", 0)
     delta = _finite(raw.get("delta", 0.1), "delta")
     lr = raw.get("learning_rate", "unit")
@@ -140,9 +141,12 @@ def _build_config(raw) -> ScenarioConfig:
         raise ConfigInvalid(f"output_dir must be a string, got {output_dir!r}")
     checkpoints = tuple(_whole(t, "checkpoints", 1)
                         for t in _node(raw.get("checkpoints", []), "checkpoints"))
-    for t in checkpoints:
-        if t > horizon:
-            raise ConfigInvalid(f"checkpoint {t} outside [1, horizon={horizon}]")
+    ordered = sorted(checkpoints)
+    if ordered and ordered[-1] > horizon:
+        raise ConfigInvalid(f"checkpoint {ordered[-1]} outside [1, horizon={horizon}]")
+    for t, after in zip(ordered, ordered[1:]):
+        if t == after:
+            raise ConfigInvalid(f"checkpoint {t} is listed more than once")
 
     return ScenarioConfig(
         model=model,

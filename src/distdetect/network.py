@@ -67,7 +67,8 @@ class NetworkProcess:
         self.n = n
         self.probs = probs
         self.atoms = atoms
-        self._cdf = np.cumsum(probs)
+        # +inf at the end, as the engine's signal CDFs: the last atom takes every u past the rest
+        self._cdf = np.append(np.cumsum(probs[:-1]), np.inf)
 
     @property
     def uniforms(self) -> int:
@@ -77,9 +78,7 @@ class NetworkProcess:
         """Atom index for each row of the (..., uniforms) array u."""
         if len(self.probs) == 1:
             return 0
-        # the CDF may end a rounding error short of 1
-        return np.minimum(np.searchsorted(self._cdf, u[..., 0], side="right"),
-                          len(self.probs) - 1)
+        return np.searchsorted(self._cdf, u[..., 0], side="right")
 
     def advance(self, phi, u, psi):
         """Return out with out[s] = W(t0+s) out[s-1] + psi[s], starting from out[-1] = phi.

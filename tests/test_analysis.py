@@ -198,12 +198,39 @@ class TestMonteCarlo:
             assert rep["trial_stats"]["nonfinite_statistics"] == 4
 
     def test_log_zero_tv_is_not_a_failure(self, reference_model, reference_process):
-        # at eta = 200 every belief is a point mass by step 300: TV underflows to 0
+        # at eta = 200 every belief is a point mass by step 300: TV underflows to 0,
+        # while its log, read off the potentials, stays finite
         sc = scenario(reference_model, reference_process, 300, (300,), learning_rate=200.0)
         [rep] = analysis.monte_carlo_verify(sc, "prop1", R=4, base_seed=11)
-        assert rep["trial_stats"]["max_statistic"] == -math.inf
+        largest = rep["trial_stats"]["max_statistic"]
+        assert math.isfinite(largest) and math.exp(largest) == 0.0
         assert rep["trial_stats"]["nonfinite_statistics"] == 0
         assert rep["verdict"] == "pass"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(0, 4),
+       st.floats(0.1, 2000.0), st.floats(0.01, 10.0))
+def test_log_tv_matches_log_of_tv_error(seed, m, true, spread, eta):
+    # potentials spread around a common offset, as a trial's potentials drift together
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-spread, spread, size=(6, 4, m)) + rng.uniform(-1e4, 1e4)
+    got = analysis._log_tv_error(phi, eta, true % m)
+    assert np.all(got <= 0)
+    tv = analysis._tv_error(analysis._beliefs(phi, eta)[2], true % m)
+    held = tv > 1e-300
+    # both read the exponents eta phi, each with rounding of a few ulps of the
+    # largest |eta phi| of the agent's row
+    tol = 16 * np.finfo(float).eps * (1.0 + np.abs(eta * phi).max(axis=-1))
+    assert np.all(np.abs(got[held] - np.log(tv[held])) <= tol[held])
+
+
+def test_work_cap_is_checked_before_any_block(reference_model, reference_process):
+    # the check runs when potential_blocks is called, before a caller allocates
+    # its per-trial arrays, not when the first block is drawn
+    sc = scenario(reference_model, reference_process, 30)
+    with pytest.raises(DistDetectError, match="is above ENGINE_WORK_CAP"):
+        analysis.potential_blocks(sc, 2**62, 0, range(1))
 
 
 class TestSimulateTrial:

@@ -513,14 +513,9 @@ def test_zero_gap_spectral_reports_sigma2_one(tmp_path):
 
 
 def _strict_json(path):
-    """The JSON document in `path`, refusing NaN and Infinity.
-
-    -Infinity stays allowed: it is the log of a TV error that underflowed to 0.
-    """
+    """The JSON document in `path`, refusing NaN, Infinity and -Infinity."""
     def refuse(constant):
-        if constant != "-Infinity":
-            raise ValueError(f"{constant} in {path.name}")
-        return -math.inf
+        raise ValueError(f"{constant} in {path.name}")
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
@@ -1037,3 +1032,52 @@ def test_junk_config_node_exits_cleanly(case, command):
     if (isinstance(replaced, (int, float)) and not isinstance(replaced, bool)
             and isinstance(junk, (bool, str))):
         assert code == 2  # a number given as a YAML boolean or string
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[-1])
+def test_repeated_checkpoint_exits_2(tmp_path, capsys, command):
+    # distinct checkpoints keep prop1's per-trial row no longer than its last
+    # checkpoint, so a run within the work cap holds no array numpy refuses
+    path = write_config(tmp_path, {"checkpoints": [10, 40, 10]})
+    assert cli.main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err == "config invalid: checkpoint 10 is listed more than once\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_trial_count_above_the_work_cap_exits_2(tmp_path, capsys):
+    # every run costs at least trials x 1 x 2 x 2, so more than 2^50 trials can
+    # never run, and every command refuses such a config, spectral included
+    cap = analysis.ENGINE_WORK_CAP
+    assert cli.main(["spectral", str(write_config(tmp_path, {"trials": cap}))]) == 0
+    path = write_config(tmp_path, {"trials": cap + 1})
+    for command in COMMANDS:
+        assert cli.main([command[0], str(path), *command[1:]]) == 2
+        assert f"trials must be a whole number in [1, {cap}], got {cap + 1}" in (
+            capsys.readouterr().err)
+    for command in (["simulate"], ["verify", "--which", "theorem1"]):
+        code = cli.main([command[0], str(write_config(tmp_path)), *command[1:],
+                         "--trials", str(cap + 1)])
+        assert code == 2
+        assert f"--trials must be a whole number in [1, {cap}]" in capsys.readouterr().err
+
+
+def test_oversized_simulate_is_refused_before_any_array(tmp_path, capsys):
+    # the work cap is checked before simulate allocates its trials x horizon x n series
+    path = write_config(tmp_path, {"horizon": 2**62})
+    assert cli.main(["simulate", str(path)]) == 2
+    assert "is above ENGINE_WORK_CAP = 2^50" in capsys.readouterr().err
+
+
+def test_memory_error_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    message = ("Unable to allocate 32.0 TiB for an array with shape (1048576, 1048576, 4) "
+               "and data type float64")
+
+    def exhausted(*args):
+        raise MemoryError(message)
+    monkeypatch.setattr(network, "mixing_deviation_sum", exhausted)
+    out = tmp_path / "new"
+    code = cli.main(["spectral", str(write_config(tmp_path)), "--output-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: not enough memory: {message}\n"
+    assert not out.exists()

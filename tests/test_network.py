@@ -163,10 +163,16 @@ class TestAtoms:
             assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_advance_picks_atom_by_inverse_cdf(self):
-        p = network.gossip_process(*KITE)  # atoms (0,1) (0,2) (0,3) (0,4) (1,2)
-        cdf = np.cumsum(p.probs)
-        for u, pair in ((0.0, (0, 1)), (cdf[0], (0, 2)), (cdf[3] - 1e-12, (0, 4)),
-                        (np.nextafter(1.0, 0.0), (1, 2))):
+        kite = network.gossip_process(*KITE)  # atoms (0,1) (0,2) (0,3) (0,4) (1,2)
+        cdf = np.cumsum(kite.probs)
+        # ten atoms of probability 0.1, whose running sum ends at 1 - 2^-53: the
+        # largest uniform below 1 is past it and picks the last atom, (3, 4)
+        complete = network.gossip_process(*complete_graph(5))
+        assert complete.probs.tolist() == [0.1] * 10
+        assert np.cumsum(complete.probs)[-1] == 1 - 2**-53
+        for p, u, pair in ((kite, 0.0, (0, 1)), (kite, cdf[0], (0, 2)),
+                           (kite, cdf[3] - 1e-12, (0, 4)), (kite, np.nextafter(1.0, 0.0), (1, 2)),
+                           (complete, 1 - 2**-53, (3, 4))):
             want = pair_average_matrix(5, *pair)
             psi = np.zeros((1, 1, 5, 5))
             got = p.advance(np.eye(5)[None], np.array([[[u]]]), psi)
