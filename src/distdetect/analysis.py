@@ -115,69 +115,58 @@ def _columns(x):
     return np.moveaxis(x, -1, 0)
 
 
-def _beliefs(phi, eta):
-    """Exponents z = eta*phi, their log-normalizers and the beliefs over states."""
-    z = eta * phi
-    zmax = functools.reduce(np.maximum, _columns(z))[..., None]
-    lse = np.log(sum(_columns(np.exp(z - zmax))))[..., None] + zmax
-    return z, lse, np.exp(z - lse)
+def _log_beliefs(phi, eta, true: int):
+    """(gaps, log TV, log beliefs) of the beliefs exp(eta phi), finite wherever phi is.
 
-
-def _kl_to_centralized(dec, cen, eta):
-    """Per-agent D_KL(agent belief || centralized belief) and both beliefs.
-
-    Computed in potential space, so it stays exact even when belief entries
-    underflow; rounding noise on identical beliefs is clipped to 0.
-    """
-    zi, li, mu = _beliefs(dec, eta)
-    zc, lc, mu_c = _beliefs(cen, eta)
-    kl = sum(_columns(mu * (zi - zc[..., None, :]))) - li[..., 0] + lc
-    return np.maximum(kl, 0.0), mu, mu_c
-
-
-def _false_mass(x, true: int):
-    return sum(col for k, col in enumerate(_columns(x)) if k != true)
-
-
-def _tv_error(mu, true: int):
-    # TV to the truth is the false-state mass: summing it directly keeps precision
-    # down to float underflow (1 - mu[true] cancels at ~1e-16), but the sum can
-    # round an ulp above 1
-    return np.minimum(_false_mass(mu, true), 1.0)
-
-
-def _log_tv_error(phi, eta, true: int):
-    """log TV of the beliefs exp(eta phi) to the truth, finite wherever phi is: with L the
-    log-sum-exp of the false exponents less the true one, it is -log(1 + e^-L) <= 0.
+    The false states' gaps g_k = eta phi_k - eta phi_true are each taken first, so
+    close exponents cancel exactly. With L their log-sum-exp, TV = e^L / (1 + e^L),
+    mu_true = 1 / (1 + e^L) and a false state holds e^(g_k - L) of the TV, read
+    off its gap less the largest one: exact where a belief or the TV underflows.
     """
     z = _columns(eta * phi)
-    # each false exponent less the true one first: exact for close exponents
     gaps = [col - z[true] for k, col in enumerate(z) if k != true]
     top = functools.reduce(np.maximum, gaps)
-    L = np.log(sum(np.exp(gap - top) for gap in gaps)) + top
-    return np.minimum(L, 0) - np.log1p(np.exp(-np.abs(L)))
+    lse = np.log(sum(np.exp(gap - top) for gap in gaps))
+    L = lse + top
+    soft = np.log1p(np.exp(-np.abs(L)))
+    log_tv = np.minimum(L, 0) - soft
+    log_mu = [log_tv + (gap - top) - lse for gap in gaps]
+    log_mu.insert(true, -np.maximum(L, 0) - soft)
+    return gaps, log_tv, log_mu
+
+
+def _kl_to_centralized(dec, cen, eta, true: int):
+    """Per-agent D_KL(agent belief || centralized belief) and both beliefs' log TV.
+
+    sum_k mu_k (log mu_k - log mu_c,k) over `_log_beliefs`' log beliefs; rounding
+    noise on identical beliefs is clipped to 0.
+    """
+    _, log_tv, log_mu = _log_beliefs(dec, eta, true)
+    _, log_ctv, log_mu_c = _log_beliefs(cen, eta, true)
+    kl = sum(np.exp(a) * (a - b[..., None]) for a, b in zip(log_mu, log_mu_c))
+    return np.maximum(kl, 0.0), log_tv, log_ctv
 
 
 def simulate_trials(sc, base_seed: int, trials):
     """Run both engines of Scenario `sc` on common signal streams to its horizon.
 
-    Returns (tv_error, kl_increment, centralized_tv, max_potential_gap): two
+    Returns (log_tv, kl_increment, centralized_log_tv, max_potential_gap): two
     R x T x n arrays, one R x T array and the largest gap over all trials and steps.
     """
     n, true, horizon = sc.model.n, sc.model.true_index, sc.horizon
     blocks = potential_blocks(sc, horizon, base_seed, trials)  # checks the work first
-    tv, kl = np.empty((len(trials), horizon, n)), np.empty((len(trials), horizon, n))
-    ctv = np.empty((len(trials), horizon))
+    log_tv, kl = np.empty((len(trials), horizon, n)), np.empty((len(trials), horizon, n))
+    log_ctv = np.empty((len(trials), horizon))
     max_gap = 0.0
     for rows, t0, dec, cen in blocks:
         steps = slice(t0, t0 + len(dec))
-        inc, mu, mu_c = _kl_to_centralized(dec, cen, sc.eta)
+        inc, agents, centralized = _kl_to_centralized(dec, cen, sc.eta, true)
         kl[rows, steps] = inc.swapaxes(0, 1)
-        tv[rows, steps] = _tv_error(mu, true).swapaxes(0, 1)
-        ctv[rows, steps] = _tv_error(mu_c, true).T
+        log_tv[rows, steps] = agents.swapaxes(0, 1)
+        log_ctv[rows, steps] = centralized.T
         gap = functools.reduce(np.maximum, _columns(np.abs(dec.mean(axis=2) - cen)))
         max_gap = np.maximum(max_gap, gap.max())
-    return tv, kl, ctv, float(max_gap)
+    return log_tv, kl, log_ctv, float(max_gap)
 
 
 def theorem1_bound(sc) -> dict:
@@ -293,7 +282,7 @@ def theorem1_statistics(sc: Scenario, base_seed, trials) -> np.ndarray:
     blocks = potential_blocks(sc, sc.horizon, base_seed, trials)
     cost = np.zeros((len(trials), sc.model.n))
     for rows, _, dec, cen in blocks:
-        cost[rows] += _kl_to_centralized(dec, cen, sc.eta)[0].sum(axis=0)
+        cost[rows] += _kl_to_centralized(dec, cen, sc.eta, sc.model.true_index)[0].sum(axis=0)
     return cost.max(axis=1)
 
 
@@ -302,11 +291,13 @@ def prop1_statistics(sc: Scenario, base_seed, trials) -> np.ndarray:
     blocks = potential_blocks(sc, max(sc.checkpoints), base_seed, trials, centralized=False)
     # NaN until its checkpoint is reached, so an unreached one fails closed
     stats = np.full((len(trials), len(sc.checkpoints)), np.nan)
+    order = np.argsort(sc.checkpoints)  # each block reads only those inside it
+    ts = np.array(sc.checkpoints)[order]
     for rows, t0, dec, _ in blocks:
-        for c, t in enumerate(sc.checkpoints):
-            if t0 < t <= t0 + len(dec):
-                log_tv = _log_tv_error(dec[t - t0 - 1], sc.eta, sc.model.true_index)
-                stats[rows, c] = log_tv.max(axis=1)
+        lo, hi = np.searchsorted(ts, (t0, t0 + len(dec)), side="right")
+        if lo < hi:
+            log_tv = _log_beliefs(dec[ts[lo:hi] - t0 - 1], sc.eta, sc.model.true_index)[1]
+            stats[rows, order[lo:hi]] = log_tv.max(axis=-1).T
     return stats
 
 
@@ -346,11 +337,11 @@ def monte_carlo_verify(sc: Scenario, which: str, R: int, base_seed: int) -> list
             "delta": sc.delta, "slack": slack, "bound": bound,
             "seed": base_seed, "checkpoint": t, "horizon": horizon,
             "verdict": "pass" if rate <= sc.delta + slack and not broken.any() else "fail",
+            # over the finite statistics, None (JSON null) when there are none
             "trial_stats": {
                 "eta": sc.eta,
-                "max_statistic": float(np.max(stats)),
-                "mean_finite_statistic":
-                    float(np.mean(finite)) if finite.size else float("-inf"),
+                "max_statistic": float(np.max(finite)) if finite.size else None,
+                "mean_finite_statistic": float(np.mean(finite)) if finite.size else None,
                 "nonfinite_statistics": int(np.count_nonzero(broken)),
             },
         })

@@ -48,18 +48,19 @@ def _artifact(cfg, args, name, mode="w"):
 
 
 def _write_json(cfg, args, name, doc, indent):
+    text = json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)  # no NaN, Infinity
     with _artifact(cfg, args, name) as f:
-        f.write(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+        f.write(text + "\n")
 
 
 def cmd_simulate(cfg, args) -> int:
     seed, trials = _resolve(cfg, args)
-    tv, kl, ctv, max_gap = analysis.simulate_trials(cfg, seed, range(trials))
+    log_tv, kl, log_ctv, max_gap = analysis.simulate_trials(cfg, seed, range(trials))
     from . import trajectories  # the CSV's formatter, which no other command needs
     with _artifact(cfg, args, "trajectories.csv", "wb") as table:
-        trajectories.write(table, tv, kl, ctv)
+        trajectories.write(table, log_tv, kl, log_ctv)
 
-    final_tv = tv[:, -1]
+    final_tv = trajectories.tv(log_tv[:, -1])
     costs = kl.sum(axis=1)
     summary = {
         "config_digest": cfg.digest,

@@ -97,21 +97,25 @@ def _format17(x, sep):
     return out.T
 
 
-def write(f, tv, kl, ctv):
-    """Write the CSV of the (trials, T, n) arrays tv and kl and the (trials, T) ctv to f."""
-    trials, T, n = tv.shape
+def tv(log_tv):
+    """The TV errors whose logs are log_tv: at most 1, and 0 where they underflow."""
+    return np.exp(log_tv)
+
+
+def write(f, log_tv, kl, log_ctv):
+    """Write the CSV of the (trials, T, n) log TV and KL and the (trials, T) centralized log TV."""
+    trials, T, n = log_tv.shape
     # trial, t and agent: each value and a comma, as rows of NUL-padded words
     ints = [np.array([b"%d," % v for v in r]) for r in (range(trials), range(1, T + 1), range(n))]
     ints = [t.astype(f"S{-(-t.itemsize // 8) * 8}").view("<u8").reshape(len(t), -1) for t in ints]
     f.write(CSV_HEADER)
-    for q0 in range(0, tv.size, CSV_CHUNK):
-        q = np.arange(q0, min(q0 + CSV_CHUNK, tv.size))  # flat (trial, step, agent) index
+    for q0 in range(0, log_tv.size, CSV_CHUNK):
+        q = np.arange(q0, min(q0 + CSV_CHUNK, log_tv.size))  # flat (trial, step, agent) index
         s0 = q0 // n  # flat (trial, step) index of the chunk's first row
         # formatted once per (trial, step), not once per agent
-        centralized = _format17(ctv.ravel()[s0:q[-1] // n + 1], b"\r\n")
-        chunk = tv.ravel()[q0:q0 + len(q)]
-        with np.errstate(divide="ignore"):  # log TV per chunk: no run-sized copy of it
-            per_agent = (chunk, np.log(chunk), kl.ravel()[q0:q0 + len(q)])
+        centralized = _format17(tv(log_ctv.ravel()[s0:q[-1] // n + 1]), b"\r\n")
+        chunk = log_tv.ravel()[q0:q0 + len(q)]
+        per_agent = (tv(chunk), chunk, kl.ravel()[q0:q0 + len(q)])
         words = np.concatenate(
             [w[i] for w, i in zip(ints, (q // (T * n), q // n % T, q % n))]
             + [_format17(c, b",") for c in per_agent]

@@ -82,14 +82,14 @@ def exp_gap_sums(sc, base_seed, trials):
 
     This is the eta = 1 bound on each agent's TV error, to Scenario `sc`'s
     horizon. The potentials come from `analysis.potential_blocks` with the
-    seeds `simulate_trials` uses, so row r matches row r of its batch.
+    seeds `simulate_trials` uses, so row r matches row r of its batch, and the
+    gaps from `analysis._log_beliefs`, which its TV errors are read from.
     """
-    true = sc.model.true_index
     out = np.empty((len(trials), sc.horizon, sc.model.n))
     for rows, t0, dec, _ in analysis.potential_blocks(sc, sc.horizon, base_seed, trials):
+        gaps = analysis._log_beliefs(dec, 1.0, sc.model.true_index)[0]
         with np.errstate(over="ignore"):
-            gaps = analysis._false_mass(np.exp(dec - dec[..., [true]]), true)
-        out[rows, t0:t0 + len(dec)] = gaps.swapaxes(0, 1)
+            out[rows, t0:t0 + len(dec)] = sum(np.exp(g) for g in gaps).swapaxes(0, 1)
     return out
 
 

@@ -164,8 +164,8 @@ def test_criterion_4_theorem1_verification():
 def test_criterion_5_asymptotic_rate(ref_model, ref_long_trajectories):
     _, rate = signals.second_state(ref_model)
     slopes = np.zeros(ref_model.n)
-    tv_error, *_ = ref_long_trajectories
-    for tv in tv_error:
+    log_tv, *_ = ref_long_trajectories
+    for tv in np.exp(log_tv):
         for i in range(ref_model.n):
             stop = min(int(np.flatnonzero(tv[:, i] > 0)[-1]) + 1, 5000)
             slopes[i] += rate_slope(tv[:, i], (2500, stop))
@@ -211,14 +211,14 @@ def test_criterion_8_tv_exp_gap_inequality(ref_long, ref_long_trajectories,
     six_sc, six, _ = six_agent_trajectories
     runs = [(ref_long, ref_long_trajectories), (six_sc, six)]
     for sc, batch in runs:
-        tv_error, *_ = batch
+        tv_error = np.exp(batch[0])
         gaps = exp_gap_sums(sc, BASE_SEED, range(N_SEEDS))
         assert np.all(tv_error <= gaps + 1e-12)
     _passline(8, f"TV <= exp-gap-sum at every step of {len(runs) * N_SEEDS} trajectories")
 
 
 def test_criterion_9_strong_consistency(ref_long_trajectories):
-    tv_error, *_ = ref_long_trajectories
+    tv_error = np.exp(ref_long_trajectories[0])
     reached = (tv_error <= 1e-6).any(axis=1)
     assert reached.all(), "an agent never reached TV <= 1e-6 within T=5000"
     _passline(9, f"strong consistency: all agents below 1e-6 in all {N_SEEDS} seeds")

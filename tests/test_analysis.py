@@ -211,18 +211,63 @@ class TestMonteCarlo:
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(0, 4),
        st.floats(0.1, 2000.0), st.floats(0.01, 10.0))
-def test_log_tv_matches_log_of_tv_error(seed, m, true, spread, eta):
-    # potentials spread around a common offset, as a trial's potentials drift together
+def test_log_beliefs_and_kl_match_oracle(seed, m, true, spread, eta):
+    # potentials spread around a common offset, as a trial's potentials drift
+    # together: 6 steps of 4 agents and of the centralized engine
     rng = np.random.default_rng(seed)
-    phi = rng.uniform(-spread, spread, size=(6, 4, m)) + rng.uniform(-1e4, 1e4)
-    got = analysis._log_tv_error(phi, eta, true % m)
-    assert np.all(got <= 0)
-    tv = analysis._tv_error(analysis._beliefs(phi, eta)[2], true % m)
-    held = tv > 1e-300
-    # both read the exponents eta phi, each with rounding of a few ulps of the
-    # largest |eta phi| of the agent's row
-    tol = 16 * np.finfo(float).eps * (1.0 + np.abs(eta * phi).max(axis=-1))
-    assert np.all(np.abs(got[held] - np.log(tv[held])) <= tol[held])
+    offset = rng.uniform(-1e4, 1e4)
+    dec = rng.uniform(-spread, spread, size=(6, 4, m)) + offset
+    cen = rng.uniform(-spread, spread, size=(6, m)) + offset
+    true %= m
+    gaps, log_tv, log_mu = analysis._log_beliefs(dec, eta, true)
+    kl, agents_log_tv, centralized_log_tv = analysis._kl_to_centralized(dec, cen, eta, true)
+    assert np.array_equal(agents_log_tv, log_tv)
+    assert np.array_equal(centralized_log_tv, analysis._log_beliefs(cen, eta, true)[1])
+    assert np.all(log_tv <= 0) and np.all(np.array(log_mu) <= 0) and np.all(kl >= 0)
+    false = [k for k in range(m) if k != true]
+    for g, k in zip(gaps, false):
+        assert np.array_equal(g, eta * dec[..., k] - eta * dec[..., true])
+    # each reads the exponents eta phi, with rounding of a few ulps of the
+    # largest |eta phi| it reads; compared where the oracle's beliefs are
+    # normal numbers, so that their logs keep their precision
+    eps, held = np.finfo(float).eps, 1e-300
+    for (t, i), got in np.ndenumerate(log_tv):
+        mu, mu_c = prob.gibbs_belief(dec[t, i], eta), prob.gibbs_belief(cen[t], eta)
+        tol = 16 * eps * (1.0 + np.abs(eta * dec[t, i]).max())
+        if mu[false].sum() > held:
+            assert abs(got - np.log(mu[false].sum())) <= tol
+        for k in range(m):
+            if mu[k] > held:
+                assert abs(log_mu[k][t, i] - np.log(mu[k])) <= tol
+        if np.all(mu_c[mu > 0] > held):
+            tol = 16 * eps * (1.0 + max(np.abs(eta * dec[t, i]).max(), np.abs(eta * cen[t]).max()))
+            assert abs(kl[t, i] - prob.kl_divergence(mu, mu_c)) <= tol
+
+
+def _log_softmax(phi):
+    """log(e^phi_k / sum_j e^phi_j) over the last axis in long double, centred on the
+    largest phi and summing the others' e^(phi_j - max) apart from the max's exact 1."""
+    y = phi.astype(np.longdouble)
+    top = np.argmax(y, axis=-1)[..., None]
+    y -= np.take_along_axis(y, top, axis=-1)
+    rest = y.copy()
+    np.put_along_axis(rest, top, -np.inf, axis=-1)
+    return y - np.log1p(np.exp(rest).sum(axis=-1, keepdims=True))
+
+
+def test_cumulative_cost_matches_long_double(reference_model, reference_process):
+    # the shipped reference_long.yaml (T = 5000, eta = 1), 16 trials at seed 7:
+    # every agent's cumulative cost is within 1e-13 relative of the KL sums of
+    # the same potentials in extended precision
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is no wider than double on this platform")
+    sc = scenario(reference_model, reference_process, 5000)
+    cost = analysis.simulate_trials(sc, 7, range(16))[1].sum(axis=1)
+    want = np.zeros(cost.shape, np.longdouble)
+    for rows, _, dec, cen in analysis.potential_blocks(sc, sc.horizon, 7, range(16)):
+        mu, mu_c = _log_softmax(dec), _log_softmax(cen)[..., None, :]
+        want[rows] += (np.exp(mu) * (mu - mu_c)).sum(axis=(0, 3))
+    assert np.all(np.abs(cost - want) <= 1e-13 * want)
 
 
 def test_work_cap_is_checked_before_any_block(reference_model, reference_process):
@@ -235,8 +280,9 @@ def test_work_cap_is_checked_before_any_block(reference_model, reference_process
 
 class TestSimulateTrial:
     def test_shapes_and_ranges(self, reference_model, reference_process):
-        tv_error, kl_increment, centralized_tv, _ = analysis.simulate_trials(
+        log_tv, kl_increment, centralized_log_tv, _ = analysis.simulate_trials(
             scenario(reference_model, reference_process, 40), 11, [0])
+        tv_error, centralized_tv = np.exp(log_tv), np.exp(centralized_log_tv)
         assert tv_error.shape == (1, 40, 4)
         assert np.all(tv_error >= 0) and np.all(tv_error <= 1)
         assert np.all(kl_increment >= 0)
@@ -249,7 +295,7 @@ class TestSimulateTrial:
 
     def test_e2_inequality_along_trajectory(self, reference_model, reference_process):
         sc = scenario(reference_model, reference_process, 300)
-        tv_error, *_ = analysis.simulate_trials(sc, 13, [0])
+        tv_error = np.exp(analysis.simulate_trials(sc, 13, [0])[0])
         gaps = exp_gap_sums(sc, 13, [0])
         assert np.all(tv_error <= gaps + 1e-12)
 
@@ -310,19 +356,20 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("kind", ["gossip", "fixed"])
     def test_prop1_checkpoints_in_one_pass(self, reference_model, kind):
-        # mid-block, on the STEP_BLOCK = 64 boundary, just past it, and later
+        # mid-block, on the STEP_BLOCK = 64 boundary, just past it, and later,
+        # in order and not: columns follow the checkpoints' order
         assert analysis.STEP_BLOCK == 64
         g = cycle_graph(4)
         process = (network.gossip_process(*g) if kind == "gossip"
                    else network.fixed_process(network.metropolis_matrix(*g)))
-        checkpoints = (10, 64, 65, 150)
-        together = analysis.prop1_statistics(
-            scenario(reference_model, process, 150, checkpoints), 4, range(5))
-        assert together.shape == (5, 4) and np.isfinite(together).all()
-        for c, t in enumerate(checkpoints):
-            alone = analysis.prop1_statistics(
-                scenario(reference_model, process, 150, (t,)), 4, range(5))
-            assert np.array_equal(together[:, c], alone[:, 0]), t
+        for checkpoints in ((10, 64, 65, 150), (150, 10, 65, 64)):
+            together = analysis.prop1_statistics(
+                scenario(reference_model, process, 150, checkpoints), 4, range(5))
+            assert together.shape == (5, 4) and np.isfinite(together).all()
+            for c, t in enumerate(checkpoints):
+                alone = analysis.prop1_statistics(
+                    scenario(reference_model, process, 150, (t,)), 4, range(5))
+                assert np.array_equal(together[:, c], alone[:, 0]), t
 
     def test_unreached_checkpoint_fails_closed(self, reference_model, reference_process):
         sc = scenario(reference_model, reference_process, 30, (0, 30))
@@ -445,8 +492,9 @@ def _check_against_oracle(model, process, horizon, trials, seed, agents=slice(No
     dec = np.concatenate([d for _, _, d, _ in blocks])   # T x R x n x m
     cen = np.concatenate([c for _, _, _, c in blocks])   # T x R x m
     assert dec.shape == (horizon, trials, model.n, model.m)
-    tv_error, kl_increment, centralized_tv, _ = analysis.simulate_trials(
+    log_tv, kl_increment, centralized_log_tv, _ = analysis.simulate_trials(
         sc, seed, range(trials))
+    tv_error, centralized_tv = np.exp(log_tv), np.exp(centralized_log_tv)
     truth = np.eye(model.m)[model.true_index]
     for r in range(trials):
         matrices, samples = _oracle_replay(model, process, horizon, seed, r)

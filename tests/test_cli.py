@@ -155,17 +155,16 @@ class TestSimulateCommand:
         # rows are formatted in chunks; a chunk size that divides nothing
         # exercises rows split across chunks, trials and steps
         monkeypatch.setattr(trajectories, "CSV_CHUNK", 7)
-        path = write_config(tmp_path, {"learning_rate": 1000.0})  # TV underflows: -inf logs
+        path = write_config(tmp_path, {"learning_rate": 1000.0})  # TV underflows, its log does not
         cfg = load_config(path)
         assert cli.main(["simulate", str(path)]) == 0
-        tv_error, kl_increment, centralized_tv, _ = analysis.simulate_trials(
+        log_tv, kl_increment, centralized_log_tv, _ = analysis.simulate_trials(
             cfg, cfg.seed, range(cfg.trials))
+        tv_error, centralized_tv = np.exp(log_tv), np.exp(centralized_log_tv)
         ref = io.StringIO(newline="")
         wr = csv.writer(ref)
         wr.writerow(["trial", "t", "agent", "tv_error", "log_tv_error",
                      "kl_increment", "centralized_tv_error"])
-        with np.errstate(divide="ignore"):
-            log_tv = np.log(tv_error)
         for r in range(cfg.trials):
             for t in range(cfg.horizon):
                 for i in range(cfg.model.n):
@@ -173,7 +172,7 @@ class TestSimulateCommand:
                         tv_error[r, t, i], log_tv[r, t, i],
                         kl_increment[r, t, i], centralized_tv[r, t])])
         written = (tmp_path / "out" / "trajectories.csv").read_bytes()
-        assert b"-inf" in written
+        assert b",0," in written and b"inf" not in written
         assert written == ref.getvalue().encode()
 
     def test_csv_bytes_match_reference_writer_on_fixed_network(self, tmp_path, monkeypatch):
@@ -188,10 +187,9 @@ class TestSimulateCommand:
         cfg = load_config(path)
         assert cfg.process.uniforms == 0
         assert cli.main(["simulate", str(path)]) == 0
-        tv_error, kl_increment, centralized_tv, _ = analysis.simulate_trials(
+        log_tv, kl_increment, centralized_log_tv, _ = analysis.simulate_trials(
             cfg, cfg.seed, range(cfg.trials))
-        with np.errstate(divide="ignore"):
-            log_tv = np.log(tv_error)
+        tv_error, centralized_tv = np.exp(log_tv), np.exp(centralized_log_tv)
         rows = [b"trial,t,agent,tv_error,log_tv_error,kl_increment,centralized_tv_error"]
         for (r, t, i), tv in np.ndenumerate(tv_error):
             rows.append(b"%d,%d,%d,%.17g,%.17g,%.17g,%.17g" % (
@@ -213,8 +211,8 @@ class TestSimulateCommand:
             assert float(row["kl_increment"]) >= 0.0
 
     def test_tv_capped_at_one(self, tmp_path):
-        # at eta = 40 the true state's belief nears 0 early on, and the
-        # false-state sum can round an ulp above 1
+        # at eta = 40 the true state's belief nears 0 early on, where a sum of
+        # the false states' beliefs can round an ulp above 1; e^(log TV) cannot
         path = write_config(tmp_path, {"learning_rate": 40})
         assert cli.main(["simulate", str(path)]) == 0
         with open(tmp_path / "out" / "trajectories.csv") as f:
@@ -517,6 +515,31 @@ def _strict_json(path):
     def refuse(constant):
         raise ValueError(f"{constant} in {path.name}")
     return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("which", ["prop1", "theorem1"])
+def test_nonfinite_statistic_report_is_strict_json(tmp_path, monkeypatch, which):
+    # a NaN statistic, as in TestMonteCarlo::test_nonfinite_statistic_fails_closed,
+    # fails the check with exit 1, and the report is still strict JSON: its largest
+    # and mean statistic are over the finite ones, and null when there are none
+    real = getattr(analysis, f"{which}_statistics")
+
+    def first_nan(*args):
+        stats = real(*args)
+        stats[0] = np.nan
+        return stats
+
+    path = write_config(tmp_path)
+    finite = real(load_config(path), 11, range(3))[1:]
+    monkeypatch.setattr(analysis, f"{which}_statistics", first_nan)
+    for trials, largest, mean in ((3, float(finite.max()), float(finite.mean())),
+                                  (1, None, None)):
+        assert cli.main(["verify", str(path), "--which", which, "--trials", str(trials)]) == 1
+        report = _strict_json(tmp_path / "out" / f"verify_{which}.json")
+        assert report["verdict"] == "fail"
+        assert report["trial_stats"]["nonfinite_statistics"] == 1
+        assert report["trial_stats"]["max_statistic"] == largest
+        assert report["trial_stats"]["mean_finite_statistic"] == pytest.approx(mean)
 
 
 @pytest.mark.parametrize("eta, code", [(1.2e291, 0), (1.3e291, 2)])
@@ -895,8 +918,8 @@ def test_invalid_input_exits_2_without_traceback(tmp_path, capsys, overrides, fl
 
 
 def test_oversized_simulate_exits_2(tmp_path, capsys):
-    # a horizon within [1, 2^63 - 1] whose shape numpy refuses outright, so
-    # nothing is allocated (a larger one is refused when the config loads)
+    # a horizon within [1, 2^63 - 1] whose work is above the cap, refused before
+    # any array is allocated (a larger one is refused when the config loads)
     path = write_config(tmp_path, {"horizon": 2**62})
     code = cli.main(["simulate", str(path)])
     err = capsys.readouterr().err
